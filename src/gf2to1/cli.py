@@ -420,3 +420,7 @@ def parse_document(text: str):
         out["field"] = field_from_label(doc["field"])
         return out
     raise ValueError(f"unknown document kind {kind!r}")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -239,16 +239,13 @@ class FieldCtx:
         """Lookup table T with T[x] = c*x, built from the n basis products.
 
         Multiplication by a fixed element is GF(2)-linear, so the table is the
-        xor-closure of the basis images.  Intended for hot loops at moderate n;
-        memory is order * wordsize.
+        xor-closure of the basis images: T[x + 2^b] = T[x] ^ c*2^b for x < 2^b.
+        Intended for hot loops at moderate n; memory is order * wordsize.
         """
-        T = [0] * self.order
+        T = [0]
         for b in range(self.n):
-            T[1 << b] = self.mul(c, 1 << b)
-        for x in range(1, self.order):
-            lo = x & -x
-            if x != lo:
-                T[x] = T[x ^ lo] ^ T[lo]
+            cb = self.mul(c, 1 << b)
+            T += [t ^ cb for t in T]
         return T
 
     # -- identity and serialization -------------------------------------------

@@ -147,11 +147,6 @@ class DensePoly:
     def const(ctx: FieldCtx, c: int) -> "DensePoly":
         return DensePoly(ctx, (c,) if c else ())
 
-    @staticmethod
-    def x_linear(ctx: FieldCtx, a1: int, a0: int) -> "DensePoly":
-        """a1*x + a0."""
-        return DensePoly.make(ctx, (a0, a1))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

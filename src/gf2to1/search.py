@@ -1,11 +1,11 @@
 """Exhaustive enumeration engines for 2-to-1 polynomial searches, with
 deterministic reporting and comparison against the bundled reference tables.
 
-Candidates are verified by walking the domain multiplicatively with
-precomputed power streams, aborting on the first fiber of size 3.  The
-candidate space is split into contiguous exponent ranges for worker
-processes; partial hit lists are merged and globally sorted, so a report is
-byte-identical for any worker count.
+Candidates are verified by the fiber kernel of two2one, fed precomputed
+power lists and at most two coefficient streams; it stops at the first fiber
+of size 3.  The candidate space is split into contiguous exponent ranges for
+worker processes; partial hit lists are merged and globally sorted, so a
+report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .poly import SparsePoly, parse_poly
 from .tabledata import table1_triples, table2, table3
 from .two2one import (
     admissible_family_tags,
+    fibers_two_to_one,
     make_family,
     qm_canonical,
     qm_shape_orbit,
@@ -151,11 +152,10 @@ def _degree5_shard(args) -> tuple[list[tuple], int]:
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
-    g = ctx.generator
     A5 = _power_array(ctx, 5)
     A3 = _power_array(ctx, 3)
     A2 = _power_array(ctx, 2)
-    tg = ctx.mul_table(g)
+    tg = ctx.mul_table(ctx.generator)
     hits: list[tuple] = []
     scanned = 0
     for a3 in range(lo, hi):
@@ -165,21 +165,8 @@ def _degree5_shard(args) -> tuple[list[tuple], int]:
             W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
             for a1 in range(order):
                 scanned += 1
-                counts = bytearray(order)
-                counts[0] = 1  # f(0) = 0
-                u = a1
-                for w in W:
-                    v = w ^ u
-                    c = counts[v]
-                    if c == 2:
-                        break
-                    counts[v] = c + 1
-                    u = tg[u]
-                else:
-                    if 1 not in counts:
-                        hits.append(
-                            tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1])
-                        )
+                if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
+                    hits.append(tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]))
     return hits, scanned
 
 
@@ -242,19 +229,8 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
                 TL = ctx.mul_table(ctx.pow(g, l))
                 for alpha in _coeff_reps_binomial(ctx, k, l, dedupe):
                     scanned += 1
-                    counts = bytearray(order)
-                    counts[0] = 1
-                    ua = alpha
-                    for w in AK:
-                        v = w ^ ua
-                        c = counts[v]
-                        if c == 2:
-                            break
-                        counts[v] = c + 1
-                        ua = TL[ua]
-                    else:
-                        if 1 not in counts:
-                            hits.append(((k, 1), (l, alpha)))
+                    if fibers_two_to_one(order, 0, AK, alpha, TL, 0, (0,)):
+                        hits.append(((k, 1), (l, alpha)))
     elif shape == "trinomial":
         tg = ctx.mul_table(g)
         for k in range(max(lo, 3), hi):
@@ -266,43 +242,19 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
                 TL = ctx.mul_table(ctx.pow(g, l))
                 for beta, alpha in _coeff_reps_trinomial(ctx, k, l, dedupe):
                     scanned += 1
-                    counts = bytearray(order)
-                    counts[0] = 1
-                    ub = beta
-                    ua = alpha
-                    for w in AK:
-                        v = w ^ ub ^ ua
-                        c = counts[v]
-                        if c == 2:
-                            break
-                        counts[v] = c + 1
-                        ub = TL[ub]
-                        ua = tg[ua]
-                    else:
-                        if 1 not in counts:
-                            hits.append(((k, 1), (l, beta), (1, alpha)))
+                    if fibers_two_to_one(order, 0, AK, beta, TL, alpha, tg):
+                        hits.append(((k, 1), (l, beta), (1, alpha)))
     elif shape == "quadrinomial":
         A1 = _power_array(ctx, 1)
-        ads = {d: _power_array(ctx, d) for d in range(2, N - 2)}
+        tabs = [ctx.mul_table(ctx.pow(g, e)) for e in range(N - 1)]
         for k in range(max(lo, 4), hi):
             AK = _power_array(ctx, k)
+            base = [AK[i] ^ A1[i] for i in range(N)]  # x^k + x
             for l in range(3, k):
-                AL = ads.get(l) or _power_array(ctx, l)
-                W2 = [AK[i] ^ AL[i] for i in range(N)]
                 for d in range(2, l):
-                    AD = ads[d]
                     scanned += 1
-                    counts = bytearray(order)
-                    counts[0] = 1
-                    for i in range(N):
-                        v = W2[i] ^ AD[i] ^ A1[i]
-                        c = counts[v]
-                        if c == 2:
-                            break
-                        counts[v] = c + 1
-                    else:
-                        if 1 not in counts:
-                            hits.append(((k, 1), (l, 1), (d, 1), (1, 1)))
+                    if fibers_two_to_one(order, 0, base, 1, tabs[l], 1, tabs[d]):
+                        hits.append(((k, 1), (l, 1), (d, 1), (1, 1)))
     else:
         raise ValueError(f"unknown sparse shape {shape!r}")
     return hits, scanned
@@ -362,6 +314,13 @@ def _finalize(
     return SearchReport(ctx, shape, dedupe, hits, scanned, elapsed_ms, notes)
 
 
+def _check_options(dedupe: str, workers: int) -> None:
+    if dedupe not in ("qm", "none"):
+        raise ValueError(f"dedupe must be 'qm' or 'none', got {dedupe!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def search_degree5(ctx: FieldCtx, workers: int = 1, dedupe: str = "none") -> SearchReport:
     """All (a3, a2, a1) whose normalized quintic x^5+a3x^3+a2x^2+a1x is 2-to-1.
 
@@ -370,8 +329,7 @@ def search_degree5(ctx: FieldCtx, workers: int = 1, dedupe: str = "none") -> Sea
     """
     if ctx.n > DEGREE5_MAX_N:
         raise ValueError(f"degree5 search capped at n={DEGREE5_MAX_N}, got n={ctx.n}")
-    if dedupe not in ("qm", "none"):
-        raise ValueError(f"dedupe must be 'qm' or 'none', got {dedupe!r}")
+    _check_options(dedupe, workers)
     t0 = time.monotonic()
     shards = [
         (ctx.n, ctx.modulus, lo, hi) for lo, hi in _split_range(0, ctx.order, workers)
@@ -409,8 +367,7 @@ def search_sparse(
     """
     if shape not in ("binomial", "trinomial", "quadrinomial"):
         raise ValueError(f"unknown sparse shape {shape!r}")
-    if dedupe not in ("qm", "none"):
-        raise ValueError(f"dedupe must be 'qm' or 'none', got {dedupe!r}")
+    _check_options(dedupe, workers)
     cap = SPARSE_LONG_MAX_N if long_run else SPARSE_MAX_N
     if ctx.n > cap:
         hint = "" if long_run else " (pass the long-run flag for n=7)"

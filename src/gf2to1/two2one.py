@@ -7,13 +7,16 @@ half-size image is necessary but not sufficient: fiber profiles like
 (3, 1, 2, ..., 2) also reach 2^(n-1) values).  Verification is a single pass
 over the domain with early exit on the first fiber of size 3; the domain is
 walked multiplicatively (x = g^i) so each sparse term advances by one fixed
-multiplication per point.
+multiplication per point.  One kernel, fibers_two_to_one, does the counting
+for the verifier, the o-polynomial test and every search.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .field import FieldCtx
 from .poly import (
@@ -36,8 +39,9 @@ __all__ = [
     "preimage_histogram",
     "value_table",
     "is_two_to_one",
+    "fibers_two_to_one",
+    "step_table",
     "shift_criterion",
-    "monomial_two_to_one",
     "is_o_polynomial",
     "o_orbit",
     "square_map",
@@ -82,25 +86,78 @@ class PreimageHistogram:
         return self.counts.get(v, 0)
 
 
-def _stepping_terms(f: SparsePoly):
-    """Split a reduced polynomial into (constant part, per-term data).
+def step_table(ctx: FieldCtx, s: int):
+    """T with T[u] = s*u: the lookup table up to n = MUL_TABLE_MAX_N, above it
+    an object that multiplies on each lookup."""
+    if ctx.n <= MUL_TABLE_MAX_N:
+        return ctx.mul_table(s)
+    return _MulBy(ctx, s)
 
-    Each positive-exponent term c*x^e contributes the sequence c*g^(i*e) over
-    the points g^i; advancing i is one multiplication by g^e.  The constant
-    part is also f(0): reduced positive exponents vanish at 0 and exponent 0
-    contributes everywhere.
+
+class _MulBy:
+    def __init__(self, ctx: FieldCtx, s: int):
+        self.mul, self.s = ctx.mul, s
+
+    def __getitem__(self, u: int) -> int:
+        return self.mul(u, self.s)
+
+
+def fibers_two_to_one(order: int, f0: int, base, u0: int, t0, u1: int, t1) -> bool:
+    """The fiber kernel: whether f0 and the values base[i] ^ u0*s0^i ^ u1*s1^i
+    together fill only fibers of size 0 or 2.
+
+    t0 and t1 are the step tables of the two coefficient streams (t[u] = s*u);
+    a stream that is always zero is (0, (0,)).  Returns at the first fiber of
+    size 3, so a lazy base is consumed only that far.
+    """
+    counts = bytearray(order)
+    counts[f0] = 1
+    for w in base:
+        v = w ^ u0 ^ u1
+        c = counts[v]
+        if c == 2:
+            return False
+        counts[v] = c + 1
+        u0 = t0[u0]
+        u1 = t1[u1]
+    return 1 not in counts
+
+
+def _streams(f: SparsePoly):
+    """Split a reduced polynomial into f(0) and one (start, step table)
+    stream per positive-exponent term.
+
+    The term c*x^e takes the value c*g^(i*e) at x = g^i, so advancing i is one
+    multiplication by g^e.  The constant part is also f(0): reduced positive
+    exponents vanish at 0 and exponent 0 contributes everywhere.
     """
     ctx = f.ctx
     const = 0
-    starts = []
-    steps = []
+    streams = []
     for e, c in f.terms:
         if e == 0:
             const ^= c
         else:
-            starts.append(c)
-            steps.append(ctx.pow(ctx.generator, e))
-    return const, starts, steps
+            streams.append((c, step_table(ctx, ctx.pow(ctx.generator, e))))
+    return const, streams
+
+
+def _split(order: int, const: int, streams: list):
+    """(base, stream, stream): the last two streams, with const and any earlier
+    streams folded into base by _walk."""
+    *early, s0, s1 = [(0, (0,))] * (2 - len(streams)) + streams
+    base = _walk(order, const, early) if early else repeat(const, order - 1)
+    return base, s0, s1
+
+
+def _walk(order: int, const: int, streams: list):
+    """Yield const plus every stream at x = g^i for i = 0..order-2, lazily, so
+    a scan that exits early steps no stream past the point it reached."""
+    base, (u0, t0), (u1, t1) = _split(order, const, streams)
+    for w in base:
+        yield w ^ u0 ^ u1
+        u0 = t0[u0]
+        u1 = t1[u1]
 
 
 def _budget_check(ctx: FieldCtx, cap: int, what: str) -> None:
@@ -112,110 +169,29 @@ def value_table(f: SparsePoly) -> list[int]:
     """V with V[x] = f(x) for every field element x."""
     ctx = f.ctx
     _budget_check(ctx, HISTOGRAM_MAX_N, "full-domain scan")
-    fr = reduce_exponents(f)
-    const, starts, steps = _stepping_terms(fr)
+    const, streams = _streams(reduce_exponents(f))
     V = [0] * ctx.order
     V[0] = const
-    use_tables = ctx.n <= MUL_TABLE_MAX_N
-    tabs = [ctx.mul_table(s) for s in steps] if use_tables else None
-    tg = ctx.mul_table(ctx.generator) if use_tables else None
-    cur = list(starts)
+    tg = step_table(ctx, ctx.generator)
     p = 1
-    mul = ctx.mul
-    g = ctx.generator
-    for _ in range(ctx.order - 1):
-        v = const
-        for u in cur:
-            v ^= u
+    for v in _walk(ctx.order, const, streams):
         V[p] = v
-        if use_tables:
-            p = tg[p]
-            for j, t in enumerate(tabs):
-                cur[j] = t[cur[j]]
-        else:
-            p = mul(p, g)
-            for j, s in enumerate(steps):
-                cur[j] = mul(cur[j], s)
+        p = tg[p]
     return V
 
 
 def preimage_histogram(f: SparsePoly) -> PreimageHistogram:
     """Exact fiber sizes by one pass over the domain (n <= 24)."""
-    ctx = f.ctx
-    V = value_table(f)
-    counts: dict[int, int] = {}
-    for v in V:
-        counts[v] = counts.get(v, 0) + 1
-    return PreimageHistogram(ctx.n, counts)
+    return PreimageHistogram(f.ctx.n, dict(Counter(value_table(f))))
 
 
 def is_two_to_one(f: SparsePoly) -> bool:
     """Whether every fiber of f has size 0 or 2; early exit on a size-3 fiber."""
     ctx = f.ctx
     _budget_check(ctx, HISTOGRAM_MAX_N, "full-domain scan")
-    fr = reduce_exponents(f)
-    const, starts, steps = _stepping_terms(fr)
-    counts = bytearray(ctx.order)
-    counts[const] = 1
-    k = len(starts)
-    if ctx.n <= MUL_TABLE_MAX_N and k in (1, 2, 3, 4):
-        tabs = [ctx.mul_table(s) for s in steps]
-        if k == 1:
-            (u0,), (t0,) = starts, tabs
-            for _ in range(ctx.order - 1):
-                v = const ^ u0
-                c = counts[v]
-                if c == 2:
-                    return False
-                counts[v] = c + 1
-                u0 = t0[u0]
-        elif k == 2:
-            (u0, u1), (t0, t1) = starts, tabs
-            for _ in range(ctx.order - 1):
-                v = const ^ u0 ^ u1
-                c = counts[v]
-                if c == 2:
-                    return False
-                counts[v] = c + 1
-                u0 = t0[u0]
-                u1 = t1[u1]
-        elif k == 3:
-            (u0, u1, u2), (t0, t1, t2) = starts, tabs
-            for _ in range(ctx.order - 1):
-                v = const ^ u0 ^ u1 ^ u2
-                c = counts[v]
-                if c == 2:
-                    return False
-                counts[v] = c + 1
-                u0 = t0[u0]
-                u1 = t1[u1]
-                u2 = t2[u2]
-        else:
-            (u0, u1, u2, u3), (t0, t1, t2, t3) = starts, tabs
-            for _ in range(ctx.order - 1):
-                v = const ^ u0 ^ u1 ^ u2 ^ u3
-                c = counts[v]
-                if c == 2:
-                    return False
-                counts[v] = c + 1
-                u0 = t0[u0]
-                u1 = t1[u1]
-                u2 = t2[u2]
-                u3 = t3[u3]
-    else:
-        mul = ctx.mul
-        cur = list(starts)
-        for _ in range(ctx.order - 1):
-            v = const
-            for u in cur:
-                v ^= u
-            c = counts[v]
-            if c == 2:
-                return False
-            counts[v] = c + 1
-            for j, s in enumerate(steps):
-                cur[j] = mul(cur[j], s)
-    return 1 not in counts
+    const, streams = _streams(reduce_exponents(f))
+    base, (u0, t0), (u1, t1) = _split(ctx.order, const, streams)
+    return fibers_two_to_one(ctx.order, const, base, u0, t0, u1, t1)
 
 
 def shift_criterion(f: SparsePoly) -> bool:
@@ -239,39 +215,19 @@ def shift_criterion(f: SparsePoly) -> bool:
     return True
 
 
-def monomial_two_to_one(d: int, q: int) -> bool:
-    """Whether x^d (up to a nonzero scalar) is 2-to-1 over a field of order q.
-
-    For q = 2^n this is always false: q - 1 is odd, so gcd(d, q-1) != 2.
-    """
-    if d < 1:
-        raise ValueError("exponent must be positive")
-    return math.gcd(d, q - 1) == 2
-
-
 def is_o_polynomial(f: SparsePoly) -> bool:
-    """f(0) = 0 and f(x) + a*x is 2-to-1 for every nonzero a."""
+    """f(0) = 0 and f(x) + a*x is 2-to-1 for every nonzero a.
+
+    f is walked once; each a then runs as the stream a*x beside it.
+    """
     ctx = f.ctx
     _budget_check(ctx, OPOLY_MAX_N, "o-polynomial test")
-    fr = reduce_exponents(f)
-    if fr.eval(0) != 0:
+    const, streams = _streams(reduce_exponents(f))
+    if const != 0:
         return False
-    V = value_table(fr)
-    order = ctx.order
-    for a in ctx.nonzero():
-        Ta = ctx.mul_table(a)
-        counts = bytearray(order)
-        for x in range(order):
-            v = V[x] ^ Ta[x]
-            c = counts[v]
-            if c == 2:
-                break
-            counts[v] = c + 1
-        else:
-            if 1 not in counts:
-                continue
-        return False
-    return True
+    base = list(_walk(ctx.order, 0, streams))
+    tg = step_table(ctx, ctx.generator)
+    return all(fibers_two_to_one(ctx.order, 0, base, a, tg, 0, (0,)) for a in ctx.nonzero())
 
 
 def square_map(f: SparsePoly) -> SparsePoly:
@@ -332,9 +288,7 @@ def qm_transforms(f: SparsePoly):
     coefs = fr.coeffs()
     k = len(exps)
     mul = ctx.mul
-    use_tables = ctx.n <= MUL_TABLE_MAX_N
-    steps = [ctx.pow(ctx.generator, e % N) for e in exps]
-    tabs = [ctx.mul_table(s) for s in steps] if use_tables else None
+    tabs = [step_table(ctx, ctx.pow(ctx.generator, e % N)) for e in exps]
     # inverse lookup from the power sequence: (g^i)^-1 = g^(N-i)
     powers = [0] * N
     p = 1
@@ -358,12 +312,8 @@ def qm_transforms(f: SparsePoly):
                 yield tuple((sorted_exps[i], cur[order_ix[i]]) for i in range(k))
             else:
                 yield tuple((sorted_exps[i], mul(a, cur[order_ix[i]])) for i in range(k))
-            if use_tables:
-                for j in range(k):
-                    cur[j] = tabs[j][cur[j]]
-            else:
-                for j in range(k):
-                    cur[j] = mul(cur[j], steps[j])
+            for j in range(k):
+                cur[j] = tabs[j][cur[j]]
 
 
 def qm_canonical(f: SparsePoly) -> SparsePoly:

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gf2to1
 from gf2to1.cli import main, parse_document
 from gf2to1.field import make_field
 from gf2to1.poly import SparsePoly
@@ -90,6 +95,12 @@ class TestSearch:
         assert code == 0
         assert "2 hits" in out
 
+    def test_zero_workers_usage_error(self, capsys):
+        code, out, err = run(capsys, "search", "--shape", "binomial", "--n", "3", "--workers", "0")
+        assert code == 2
+        assert "error: workers must be at least 1, got 0" in err
+        assert out == ""
+
 
 class TestTables:
     def test_table1_ok(self, capsys):
@@ -117,6 +128,12 @@ class TestTables:
     def test_bad_n_max(self, capsys):
         code, _, err = run(capsys, "tables", "--which", "II", "--n-max", "2")
         assert code == 2
+
+    def test_negative_workers_usage_error(self, capsys):
+        code, out, err = run(capsys, "tables", "--which", "I", "--workers", "-1")
+        assert code == 2
+        assert "error: workers must be at least 1, got -1" in err
+        assert out == ""
 
 
 class TestResultant:
@@ -179,6 +196,18 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert run(capsys, "check", "x^2+x")[0] == 2
+
+    def test_module_entry_point_runs_main(self):
+        src = pathlib.Path(gf2to1.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gf2to1.cli", "tables", "--which", "IV"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr
 
     def test_unknown_document_kind(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,13 @@ class TestSparseSearches:
         with pytest.raises(ValueError, match="dedupe"):
             search_sparse(F8, "binomial", dedupe="frobenius")
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            search_sparse(F8, "binomial", workers=workers)
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            search_degree5(F8, workers=workers)
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_reports(self):

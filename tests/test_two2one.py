@@ -13,7 +13,6 @@ from gf2to1.two2one import (
     is_o_polynomial,
     is_two_to_one,
     make_family,
-    monomial_two_to_one,
     o_orbit,
     omega_roots,
     point_count_curve,
@@ -84,7 +83,8 @@ class TestHistogram:
             is_two_to_one(sp(big, (2, 1), (1, 1)))
 
     def test_five_term_polynomials_use_generic_scan(self):
-        # five stepping terms fall through to the generic loop
+        # the last two terms are the kernel's streams; _walk folds the other
+        # three into its base, the first of them one generator level deeper
         f = sp(F16, (9, 3), (7, 1), (5, 2), (3, 1), (1, 1))
         h = preimage_histogram(f)
         assert is_two_to_one(f) == h.is_two_to_one
@@ -93,11 +93,21 @@ class TestHistogram:
         import gf2to1.two2one as t
 
         f = sp(F16, (12, 1), (11, 1), (1, 2))
-        with_tables = (value_table(f), is_two_to_one(f), qm_canonical(f))
+        o = sp(F16, (2, 1))  # an o-polynomial; f is not one
+
+        def run():
+            return (
+                value_table(f),
+                is_two_to_one(f),
+                qm_canonical(f),
+                preimage_histogram(f),
+                is_o_polynomial(o),
+                is_o_polynomial(f),
+            )
+
+        with_tables = run()
         monkeypatch.setattr(t, "MUL_TABLE_MAX_N", 0)
-        assert value_table(f) == with_tables[0]
-        assert is_two_to_one(f) == with_tables[1]
-        assert qm_canonical(f) == with_tables[2]
+        assert run() == with_tables
 
 
 class TestIsTwoToOne:
@@ -139,17 +149,10 @@ class TestIsTwoToOne:
 
 
 class TestMonomial:
-    def test_odd_characteristic_field_order(self):
-        assert monomial_two_to_one(2, 9)
-
     def test_binary_always_false(self):
-        assert not monomial_two_to_one(2, 8)
-        assert not monomial_two_to_one(6, 16)
+        # gcd(d, 2^n - 1) is odd, so x^d is never 2-to-1 over GF(2^n)
         assert not is_two_to_one(sp(F16, (6, 1)))  # cross-check by histogram
-
-    def test_positive_exponent_required(self):
-        with pytest.raises(ValueError):
-            monomial_two_to_one(0, 8)
+        assert not preimage_histogram(sp(F16, (6, 1))).is_two_to_one
 
 
 class TestOPolynomial:
@@ -166,6 +169,25 @@ class TestOPolynomial:
 
     def test_segre_monomial_gf32(self):
         assert is_o_polynomial(sp(F32, (6, 1)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_definition_on_monomials_and_binomials(self, n):
+        # the literal definition: f(0) = 0 and every f + a*x has all fibers of size 2
+        ctx = make_field(n)
+        N = ctx.order - 1
+        polys = [sp(ctx, (k, 1)) for k in range(1, N + 1)]
+        polys += [
+            sp(ctx, (k, 1), (l, c))
+            for k in range(1, N + 1)
+            for l in range(k)
+            for c in ctx.nonzero()
+        ]
+        for f in polys:
+            literal = f.eval(0) == 0 and all(
+                preimage_histogram(sp(ctx, *f.terms, (1, a))).is_two_to_one
+                for a in ctx.nonzero()
+            )
+            assert is_o_polynomial(f) == literal, f
 
     @pytest.mark.parametrize("k,n", [(2, 5), (6, 5)])
     def test_monomial_cross_check_slope_permutation(self, k, n):
