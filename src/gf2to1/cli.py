@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .field import FieldCtx, field_from_label, fmt_elem, make_field, parse_elem
 from .lowdeg import (
@@ -173,11 +174,11 @@ _TABLE_RUNS = {
 
 def _cmd_tables(args) -> int:
     shape, all_n = _TABLE_RUNS[args.which]
-    cap = args.n_max if not args.long else max(args.n_max, 7)
-    ns = [n for n in all_n if n <= cap]
-    if not ns:
-        _diag(f"no field degrees selected for table {args.which} with --n-max {args.n_max}")
+    n_max = args.n_max or (7 if args.long else 6)
+    if n_max == 7 and not args.long:
+        _diag("error: --n-max 7 runs the n=7 searches; pass --long")
         return EXIT_USAGE
+    ns = [n for n in all_n if n <= n_max]
     results = []
     for n in ns:
         ctx = make_field(n)
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("tables", help="reproduce a bundled reference table and diff")
     c.add_argument("--which", choices=("I", "II", "III"), required=True)
-    c.add_argument("--n-max", type=int, default=6, dest="n_max")
+    c.add_argument("--n-max", type=int, choices=range(3, 8), dest="n_max", help="default 7 with --long, else 6")
     c.add_argument("--long", action="store_true", help="include the n=7 searches")
     c.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     c.add_argument("--format", choices=FORMATS)
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:
         _diag(f"error: {exc}")
+        return EXIT_USAGE
+    except BrokenProcessPool as exc:
+        _diag(f"error: a search worker process died: {exc}")
         return EXIT_USAGE
     except KeyboardInterrupt:
         _diag("interrupted")

@@ -100,11 +100,11 @@ def _prime_factors(v: int) -> list[int]:
 
 
 class FieldCtx:
-    """An instance of GF(2^n): extension degree, modulus bits and a fixed generator."""
+    """An instance of GF(2^n): extension degree, modulus bits and the generator they determine."""
 
     __slots__ = ("n", "modulus", "order", "generator", "_group_primes")
 
-    def __init__(self, n: int, modulus: int, generator: int | None = None):
+    def __init__(self, n: int, modulus: int):
         if not MIN_DEGREE <= n <= MAX_DEGREE:
             raise ValueError(f"extension degree n={n} out of supported range [{MIN_DEGREE}, {MAX_DEGREE}]")
         if p2_degree(modulus) != n:
@@ -116,9 +116,7 @@ class FieldCtx:
         self.modulus = modulus
         self.order = 1 << n
         self._group_primes = tuple(_prime_factors(self.order - 1))
-        self.generator = self._find_generator() if generator is None else generator
-        if self.mult_order(self.generator) != self.order - 1:
-            raise ValueError(f"element {self.generator:#x} is not a generator of gf2_{n}/{modulus:#x}")
+        self.generator = self._find_generator()
 
     # -- core arithmetic ----------------------------------------------------
 
@@ -247,6 +245,15 @@ class FieldCtx:
             cb = self.mul(c, 1 << b)
             T += [t ^ cb for t in T]
         return T
+
+    def powers(self) -> list[int]:
+        """The power table [g^0, g^1, ..., g^(N-1)], N = 2^n - 1: the one source of
+        power sequences and discrete logs.  Rebuilt in O(N) on each call."""
+        step = self.mul_table(self.generator)
+        P = [1] * (self.order - 1)
+        for i in range(1, len(P)):
+            P[i] = step[P[i - 1]]
+        return P
 
     # -- identity and serialization -------------------------------------------
 

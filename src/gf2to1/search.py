@@ -152,9 +152,10 @@ def _degree5_shard(args) -> tuple[list[tuple], int]:
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
-    A5 = _power_array(ctx, 5)
-    A3 = _power_array(ctx, 3)
-    A2 = _power_array(ctx, 2)
+    P = ctx.powers()
+    A5 = _power_array(P, 5)
+    A3 = _power_array(P, 3)
+    A2 = _power_array(P, 2)
     tg = ctx.mul_table(ctx.generator)
     hits: list[tuple] = []
     scanned = 0
@@ -170,28 +171,22 @@ def _degree5_shard(args) -> tuple[list[tuple], int]:
     return hits, scanned
 
 
-def _power_array(ctx: FieldCtx, e: int) -> list[int]:
-    N = ctx.order - 1
-    step = ctx.mul_table(ctx.pow(ctx.generator, e % N))
-    arr = [0] * N
-    u = 1
-    for i in range(N):
-        arr[i] = u
-        u = step[u]
-    return arr
+def _power_array(P: list[int], e: int) -> list[int]:
+    """[x^e for x = g^i], read from the power table P = ctx.powers()."""
+    N = len(P)
+    return [P[i * e % N] for i in range(N)]
 
 
-def _coeff_reps_binomial(ctx: FieldCtx, k: int, l: int, dedupe: str) -> list[int]:
+def _coeff_reps_binomial(P: list[int], k: int, l: int, dedupe: str):
     """One alpha per scaling orbit: monic rescaling sends alpha to
     alpha*b^(l-k), so representatives are g^A with A below gcd(k-l, 2^n-1)."""
+    N = len(P)
     if dedupe != "qm":
-        return list(ctx.nonzero())
-    N = ctx.order - 1
-    u = math.gcd(k - l, N)
-    return [ctx.pow(ctx.generator, A) for A in range(u)]
+        return range(1, N + 1)
+    return P[: math.gcd(k - l, N)]
 
 
-def _coeff_reps_trinomial(ctx: FieldCtx, k: int, l: int, dedupe: str):
+def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
     """(beta, alpha) orbit representatives under monic rescaling.
 
     Rescaling by b maps (beta, alpha) to (beta*b^(l-k), alpha*b^(1-k)); in
@@ -199,16 +194,15 @@ def _coeff_reps_trinomial(ctx: FieldCtx, k: int, l: int, dedupe: str):
     representatives are B below u = gcd(p, N) and, for the residual
     stabilizer j in (N/u)Z, A below gcd((N/u)*q, N).
     """
+    N = len(P)
     if dedupe != "qm":
-        return [(b, a) for b in ctx.nonzero() for a in ctx.nonzero()]
-    N = ctx.order - 1
-    g = ctx.generator
+        return [(b, a) for b in range(1, N + 1) for a in range(1, N + 1)]
     p = (l - k) % N
     q = (1 - k) % N
     u = math.gcd(p, N)
     s = (N // u) * q % N
     w = math.gcd(s, N) if s else N
-    return [(ctx.pow(g, B), ctx.pow(g, A)) for B in range(u) for A in range(w)]
+    return [(P[B], P[A]) for B in range(u) for A in range(w)]
 
 
 def _sparse_shard(args) -> tuple[list[tuple], int]:
@@ -216,40 +210,39 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
-    g = ctx.generator
+    P = ctx.powers()
     hits: list[tuple] = []
     scanned = 0
     if shape == "binomial":
         pow2 = _pow2_residues(N)
         for k in range(max(lo, 2), hi):
-            AK = _power_array(ctx, k)
+            AK = _power_array(P, k)
             for l in range(1, k):
                 if _binomial_is_linearized_class(k, l, N, pow2):
                     continue  # the linearized class is set aside
-                TL = ctx.mul_table(ctx.pow(g, l))
-                for alpha in _coeff_reps_binomial(ctx, k, l, dedupe):
+                TL = ctx.mul_table(P[l])
+                for alpha in _coeff_reps_binomial(P, k, l, dedupe):
                     scanned += 1
                     if fibers_two_to_one(order, 0, AK, alpha, TL, 0, (0,)):
                         hits.append(((k, 1), (l, alpha)))
     elif shape == "trinomial":
-        tg = ctx.mul_table(g)
+        tg = ctx.mul_table(ctx.generator)
         for k in range(max(lo, 3), hi):
-            AK = _power_array(ctx, k)
+            AK = _power_array(P, k)
             k_pow2 = _is_pow2(k)
             for l in range(2, k):
                 if k_pow2 and _is_pow2(l):
                     continue  # linearized shapes are excluded from the template
-                TL = ctx.mul_table(ctx.pow(g, l))
-                for beta, alpha in _coeff_reps_trinomial(ctx, k, l, dedupe):
+                TL = ctx.mul_table(P[l])
+                for beta, alpha in _coeff_reps_trinomial(P, k, l, dedupe):
                     scanned += 1
                     if fibers_two_to_one(order, 0, AK, beta, TL, alpha, tg):
                         hits.append(((k, 1), (l, beta), (1, alpha)))
     elif shape == "quadrinomial":
-        A1 = _power_array(ctx, 1)
-        tabs = [ctx.mul_table(ctx.pow(g, e)) for e in range(N - 1)]
+        tabs = [ctx.mul_table(P[e]) for e in range(N - 1)]
         for k in range(max(lo, 4), hi):
-            AK = _power_array(ctx, k)
-            base = [AK[i] ^ A1[i] for i in range(N)]  # x^k + x
+            AK = _power_array(P, k)
+            base = [AK[i] ^ P[i] for i in range(N)]  # x^k + x
             for l in range(3, k):
                 for d in range(2, l):
                     scanned += 1
@@ -298,18 +291,21 @@ def _finalize(
     t0: float,
     notes: tuple[str, ...] = (),
 ) -> SearchReport:
+    """One canonical and one shape-orbit walk per class: each orbit member, and the
+    raw tuple itself (unreduced at n = 2), maps to the class's canonical Hit."""
     pred = shape_predicate(shape, ctx.order)
-    polys = [SparsePoly(ctx, t) for t in raw_terms]
+    classes: dict[tuple, Hit] = {}
+    for t in raw_terms:
+        if t not in classes:
+            p = SparsePoly(ctx, t)
+            orbit = qm_shape_orbit(p, pred)
+            cls = Hit(qm_canonical(p), len(orbit))
+            classes.update(dict.fromkeys(orbit | {t}, cls))
     if dedupe == "qm":
-        by_canon: dict[tuple, SparsePoly] = {}
-        for p in polys:
-            canon = qm_canonical(p)
-            by_canon.setdefault(canon.terms, canon)
-        chosen = list(by_canon.values())
+        chosen = set(classes.values())
     else:
-        chosen = polys
-    chosen.sort(key=lambda p: p.sort_key())
-    hits = tuple(Hit(p, len(qm_shape_orbit(p, pred))) for p in chosen)
+        chosen = [Hit(SparsePoly(ctx, t), classes[t].orbit_size) for t in raw_terms]
+    hits = tuple(sorted(chosen, key=lambda h: h.poly.sort_key()))
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     return SearchReport(ctx, shape, dedupe, hits, scanned, elapsed_ms, notes)
 

@@ -275,45 +275,35 @@ def o_orbit(k: int, n: int) -> set[int]:
 def qm_transforms(f: SparsePoly):
     """Yield the term tuple of every monic transform of a*f(b*x^d).
 
-    d runs over the units mod 2^n - 1, b over the nonzero elements, and a is
-    fixed by normalizing the leading coefficient to 1.  Exponents are reduced
-    representatives, so distinct exponents stay distinct under every d.
+    d runs over the units mod N = 2^n - 1, then b = g^B over B = 0..N-1, and
+    a normalizes the leading coefficient to 1.  Exponents are reduced, so
+    they stay distinct under every d.  The walk is in discrete-log
+    coordinates: for c_j = g^(L_j) and reduced exponents e_j, coefficient j
+    is g^(L_j - L_lead + B*(e_j - e_lead)), so d only reorders the terms and
+    no field multiplication is needed.
     """
     ctx = f.ctx
     fr = reduce_exponents(f)
     if fr.is_zero:
         raise ValueError("the zero polynomial has no transforms")
     N = ctx.order - 1
+    P = ctx.powers()
+    LOG = {p: i for i, p in enumerate(P)}
     exps = fr.exponents()
-    coefs = fr.coeffs()
-    k = len(exps)
-    mul = ctx.mul
-    tabs = [step_table(ctx, ctx.pow(ctx.generator, e % N)) for e in exps]
-    # inverse lookup from the power sequence: (g^i)^-1 = g^(N-i)
-    powers = [0] * N
-    p = 1
-    for i in range(N):
-        powers[i] = p
-        p = mul(p, ctx.generator)
-    inv_tab = [0] * ctx.order
-    for i in range(N):
-        inv_tab[powers[i]] = powers[(N - i) % N]
+    logs = [LOG[c] for c in fr.coeffs()]
     for d in range(1, N + 1):
         if math.gcd(d, N) != 1:
             continue
-        new_exps = tuple((e * d - 1) % N + 1 if e > 0 else 0 for e in exps)
-        order_ix = sorted(range(k), key=lambda j: -new_exps[j])
-        sorted_exps = tuple(new_exps[j] for j in order_ix)
+        new_exps = [(e * d - 1) % N + 1 if e > 0 else 0 for e in exps]
+        order_ix = sorted(range(len(exps)), key=lambda j: -new_exps[j])
         lead = order_ix[0]
-        cur = list(coefs)
-        for _ in range(N):
-            a = inv_tab[cur[lead]]
-            if a == 1:
-                yield tuple((sorted_exps[i], cur[order_ix[i]]) for i in range(k))
-            else:
-                yield tuple((sorted_exps[i], mul(a, cur[order_ix[i]])) for i in range(k))
-            for j in range(k):
-                cur[j] = tabs[j][cur[j]]
+        sorted_exps = [new_exps[j] for j in order_ix]
+        columns = [
+            [P[(logs[j] - logs[lead] + B * (exps[j] - exps[lead])) % N] for B in range(N)]
+            for j in order_ix
+        ]
+        for row in zip(*columns):
+            yield tuple(zip(sorted_exps, row))
 
 
 def qm_canonical(f: SparsePoly) -> SparsePoly:

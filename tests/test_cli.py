@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import gf2to1
+import gf2to1.cli as cli
+import gf2to1.search as search
 from gf2to1.cli import main, parse_document
 from gf2to1.field import make_field
 from gf2to1.poly import SparsePoly
@@ -17,6 +19,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _dying_shard(args):
+    os._exit(1)
 
 
 class TestCheck:
@@ -101,6 +107,14 @@ class TestSearch:
         assert "error: workers must be at least 1, got 0" in err
         assert out == ""
 
+    def test_dead_worker_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "_sparse_shard", _dying_shard)
+        code, out, err = run(capsys, "search", "--shape", "binomial", "--n", "4", "--workers", "2")
+        assert code == 2
+        assert "error: a search worker process died" in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestTables:
     def test_table1_ok(self, capsys):
@@ -128,6 +142,29 @@ class TestTables:
     def test_bad_n_max(self, capsys):
         code, _, err = run(capsys, "tables", "--which", "II", "--n-max", "2")
         assert code == 2
+
+    def test_n_max_above_seven_rejected(self, capsys):
+        code, out, err = run(capsys, "tables", "--which", "I", "--n-max", "9")
+        assert code == 2
+        assert out == ""
+        assert "--n-max" in err
+
+    def test_n_max_seven_needs_long(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            pytest.fail("a search ran before the usage error")
+
+        monkeypatch.setattr(cli, "search_sparse", no_search)
+        code, out, err = run(capsys, "tables", "--which", "II", "--n-max", "7", "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert "--long" in err
+
+    def test_long_keeps_smaller_n_max(self, capsys):
+        code, out, _ = run(
+            capsys, "tables", "--which", "II", "--long", "--n-max", "4", "--workers", "1", "--format", "json"
+        )
+        assert code == 0
+        assert [r["n"] for r in parse_document(out)["results"]] == [3, 4]
 
     def test_negative_workers_usage_error(self, capsys):
         code, out, err = run(capsys, "tables", "--which", "I", "--workers", "-1")

@@ -50,6 +50,11 @@ class TestConstruction:
             seen.add(t)
         assert t == 1 and len(seen) == 7
 
+    def test_generator_is_not_a_parameter(self):
+        # the label must determine the generator, so there is no way to pass one
+        with pytest.raises(TypeError):
+            FieldCtx(3, 0xB, 3)
+
     def test_reducible_modulus_rejected_naming_factor_degree(self):
         with pytest.raises(ValueError, match="degree 2"):
             make_field(4, 0b10101)  # (x^2+x+1)^2
@@ -205,6 +210,13 @@ class TestFieldAxioms:
         for x in (0, 1, f.order - 1, f.generator):
             assert T[x] == f.mul(c, x)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_powers_match_pow(self, n):
+        f = make_field(n)
+        P = f.powers()
+        assert P == [f.pow(f.generator, i) for i in range(f.order - 1)]
+        assert sorted(P) == list(f.nonzero())  # every nonzero element once
+
 
 class TestIsomorphismAcrossModuli:
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -223,6 +235,13 @@ class TestSerialization:
         f = make_field(3)
         assert f.label() == "gf2_3/0xb"
         assert field_from_label("gf2_3/0xb") == f
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_label_round_trip_keeps_generator(self, n):
+        # the deg5_row_* families and the power table depend on the generator
+        for m in brute_irreducibles(n):
+            ctx = FieldCtx(n, m)
+            assert field_from_label(ctx.label()).generator == ctx.generator
 
     def test_elem_round_trip(self):
         f = make_field(5)

@@ -16,7 +16,7 @@ from gf2to1.search import (
     search_sparse,
     shape_predicate,
 )
-from gf2to1.two2one import is_two_to_one, qm_shape_orbit
+from gf2to1.two2one import is_two_to_one, qm_canonical, qm_shape_orbit
 
 F8 = make_field(3)
 F16 = make_field(4)
@@ -66,6 +66,17 @@ def brute_sparse(ctx, shape):
     return hits
 
 
+def per_hit_hits(ctx, shape, dedupe, raw):
+    """Report hits by the per-hit formula: canonicalize every raw hit, and size
+    the shape orbit of each reported polynomial on its own."""
+    pred = shape_predicate(shape, ctx.order)
+    polys = [SparsePoly(ctx, t) for t in raw]
+    if dedupe == "qm":
+        polys = list({c.terms: c for c in map(qm_canonical, polys)}.values())
+    polys.sort(key=lambda p: p.sort_key())
+    return tuple(Hit(p, len(qm_shape_orbit(p, pred))) for p in polys)
+
+
 class TestDegree5:
     def test_gf8_exact_structure(self):
         rep = search_degree5(F8)
@@ -99,6 +110,14 @@ class TestDegree5:
         with pytest.raises(ValueError, match="n=7"):
             search_degree5(make_field(8))
 
+    @pytest.mark.parametrize("dedupe", ["none", "qm"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orbit_sizes_match_per_hit_formula(self, n, dedupe):
+        # at n = 2 the raw quintics are unreduced and lie outside their own orbit
+        ctx = make_field(n)
+        raw = [h.poly.terms for h in search_degree5(ctx).hits]
+        assert search_degree5(ctx, dedupe=dedupe).hits == per_hit_hits(ctx, "degree5", dedupe, raw)
+
     def test_seven_element_families_are_single_classes(self):
         rep = search_degree5(F8, dedupe="qm")
         # 21 sporadic = 3 classes of 7, plus one class per free-coefficient family
@@ -112,9 +131,12 @@ class TestSparseSearches:
         ctx = make_field(n)
         rep = search_sparse(ctx, shape, dedupe="none")
         assert {h.poly.terms for h in rep.hits} == brute_sparse(ctx, shape)
+        pred = shape_predicate(shape, ctx.order)
+        for h in rep.hits:
+            assert h.orbit_size == len(qm_shape_orbit(h.poly, pred))
 
     @pytest.mark.parametrize("shape", ["binomial", "trinomial", "quadrinomial"])
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_dedupe_orbits_cover_raw_hits(self, shape, n):
         ctx = make_field(n)
         raw = {h.poly.terms for h in search_sparse(ctx, shape, dedupe="none").hits}

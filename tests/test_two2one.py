@@ -23,6 +23,7 @@ from gf2to1.two2one import (
     qm_transforms,
     shift_criterion,
     square_map,
+    step_table,
     value_table,
     verify_resultant_identity,
     _elimination_pair,
@@ -38,19 +39,40 @@ def sp(ctx, *pairs):
 
 
 @st.composite
-def random_sparse(draw, n_min=2, n_max=6, max_terms=4):
+def random_sparse(draw, n_min=2, n_max=6, max_terms=4, any_exponent=False):
+    """A nonzero sparse polynomial; exponents in [1, 2^n - 1], or with
+    any_exponent in [0, 3 * 2^n] so constants and unreduced terms occur."""
     n = draw(st.integers(n_min, n_max))
     ctx = make_field(n)
+    exps = st.integers(0, 3 * ctx.order) if any_exponent else st.integers(1, ctx.order - 1)
     terms = draw(
-        st.lists(
-            st.tuples(st.integers(1, ctx.order - 1), st.integers(1, ctx.order - 1)),
-            min_size=1,
-            max_size=max_terms,
-        )
+        st.lists(st.tuples(exps, st.integers(1, ctx.order - 1)), min_size=1, max_size=max_terms)
     )
     f = SparsePoly.make(ctx, terms)
-    assume(not f.is_zero)
+    assume(not f.reduced().is_zero)
     return f
+
+
+def qm_transforms_by_mul(f):
+    """Reference for qm_transforms with field multiplications: term j is
+    stepped by g^(e_j) per b, and each transform is divided by its leading
+    coefficient.  Same yield order: d ascending, then b = g^0, g^1, ..."""
+    ctx = f.ctx
+    fr = reduce_exponents(f)
+    N = ctx.order - 1
+    exps = fr.exponents()
+    k = len(exps)
+    tabs = [step_table(ctx, ctx.pow(ctx.generator, e % N)) for e in exps]
+    for d in range(1, N + 1):
+        if math.gcd(d, N) != 1:
+            continue
+        new_exps = tuple((e * d - 1) % N + 1 if e > 0 else 0 for e in exps)
+        order_ix = sorted(range(k), key=lambda j: -new_exps[j])
+        cur = list(fr.coeffs())
+        for _ in range(N):
+            a = ctx.inv(cur[order_ix[0]])
+            yield tuple((new_exps[j], ctx.mul(a, cur[j])) for j in order_ix)
+            cur = [tabs[j][cur[j]] for j in range(k)]
 
 
 class TestHistogram:
@@ -226,6 +248,10 @@ class TestOOrbit:
 
 
 class TestQmEquivalence:
+    @given(random_sparse(n_max=6, any_exponent=True))
+    def test_transforms_match_multiplication_reference(self, f):
+        assert list(qm_transforms(f)) == list(qm_transforms_by_mul(f))
+
     @given(random_sparse(n_max=5), st.data())
     def test_canonical_is_orbit_invariant(self, f, data):
         ctx = f.ctx
