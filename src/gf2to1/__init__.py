@@ -43,7 +43,6 @@ from .two2one import (
     o_orbit,
     preimage_histogram,
     qm_canonical,
-    shift_criterion,
     verify_resultant_identity,
 )
 

@@ -3,7 +3,8 @@
 Field elements are plain ints: the bits of an element are its coordinates in
 the polynomial basis {1, x, ..., x^(n-1)} modulo a fixed irreducible
 polynomial over GF(2).  Addition is xor, 0 and 1 are the additive and
-multiplicative identities.  A FieldCtx is immutable after construction and
+multiplicative identities.  A FieldCtx is fixed by its degree and modulus;
+the lookup tables it fills on first use are a pure function of them, and
 every operation is a pure function of its inputs, so contexts can be shared
 freely across threads and worker processes.
 
@@ -15,9 +16,15 @@ from __future__ import annotations
 
 MIN_DEGREE = 2
 MAX_DEGREE = 32
+# Fields up to this degree keep log/antilog tables, about 320 KB at n = 12
+# (n = 17 would need about 9 MB); it covers every field the lemmas, the
+# identities, the point counts and the searches use.
+LOG_TABLE_MAX_N = 12
 
 __all__ = [
     "FieldCtx",
+    "LOG_TABLE_MAX_N",
+    "linear_table",
     "make_field",
     "field_from_label",
     "fmt_elem",
@@ -99,10 +106,54 @@ def _prime_factors(v: int) -> list[int]:
     return out
 
 
-class FieldCtx:
-    """An instance of GF(2^n): extension degree, modulus bits and the generator they determine."""
+def _mul_bits(a: int, b: int, m: int, top: int) -> int:
+    """Carry-less multiply with interleaved reduction modulo m, top = 2^deg(m)."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= m
+    return r
 
-    __slots__ = ("n", "modulus", "order", "generator", "_group_primes")
+
+def _pow_bits(a: int, e: int, m: int, top: int) -> int:
+    """a^e for e >= 0 by square-and-multiply on the shift-and-xor loop."""
+    r = 1
+    while e:
+        if e & 1:
+            r = _mul_bits(r, a, m, top)
+        a = _mul_bits(a, a, m, top)
+        e >>= 1
+    return r
+
+
+def linear_table(images: list[int]) -> list[int]:
+    """Value table T of the GF(2)-linear map sending 2^b to images[b].
+
+    T is the xor-closure of the basis images: T[x + 2^b] = T[x] ^ images[b]
+    for x < 2^b.
+    """
+    T = [0]
+    for v in images:
+        T += [t ^ v for t in T]
+    return T
+
+
+class FieldCtx:
+    """An instance of GF(2^n): extension degree, modulus bits and the generator they determine.
+
+    Up to LOG_TABLE_MAX_N the context keeps an antilog table EXP (g^0 .. g^(N-1),
+    twice, N = 2^n - 1, so an index sum below 2N needs no reduction) and a LOG
+    table, and mul, sqr, pow, inv, frobenius and sqrt are lookups.  Above the
+    cap they run the shift-and-xor loop.  The tables and the trace mask are
+    built on first use, so a context that is only built, compared or labelled
+    costs what it did without them; they are not part of the field's identity.
+    """
+
+    __slots__ = ("n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_tmask")
 
     def __init__(self, n: int, modulus: int):
         if not MIN_DEGREE <= n <= MAX_DEGREE:
@@ -117,30 +168,79 @@ class FieldCtx:
         self.order = 1 << n
         self._group_primes = tuple(_prime_factors(self.order - 1))
         self.generator = self._find_generator()
+        # Built on first use by _tables(), not by a __getattr__ hook: on CPython
+        # 3.11 a class with __getattr__ makes every attribute read several times slower.
+        self._exp = self._log = None
+        self._tmask = 0  # built by _trace_mask() on first use; never 0 once built
+
+    def _find_generator(self) -> int:
+        # runs before any table exists: g generates iff g^(N/p) != 1 for each prime p | N
+        N = self.order - 1
+        m, top = self.modulus, self.order
+        for g in range(2, self.order):
+            if all(_pow_bits(g, N // p, m, top) != 1 for p in self._group_primes):
+                return g
+        raise AssertionError("no generator found (broken modulus?)")
+
+    def _tables(self) -> list[int] | None:
+        """The LOG table, with EXP beside it, built on first use; None above the cap."""
+        if self._log is None and self.n <= LOG_TABLE_MAX_N:
+            exp = self._walk_powers()
+            log = [0] * self.order  # log[0] is never read: every lookup sets 0 aside first
+            for i, v in enumerate(exp):
+                log[v] = i
+            self._exp = exp + exp
+            self._log = log
+        return self._log
+
+    def _trace_mask(self) -> int:
+        """Bit b is the trace of 2^b; the trace is GF(2)-linear, so these n bits fix it."""
+        n, m, top = self.n, self.modulus, self.order
+        mask = 0
+        for b in range(n):
+            acc = t = 1 << b
+            for _ in range(n - 1):
+                t = _mul_bits(t, t, m, top)
+                acc ^= t
+            mask |= acc << b
+        self._tmask = mask
+        return mask
+
+    def _walk_powers(self) -> list[int]:
+        # the step table is mul_table(generator), built on _mul_bits because the
+        # tables that mul reads are built from this walk
+        m, top = self.modulus, self.order
+        step = linear_table([_mul_bits(self.generator, 1 << b, m, top) for b in range(self.n)])
+        P = [1] * (top - 1)
+        for i in range(1, len(P)):
+            P[i] = step[P[i - 1]]
+        return P
 
     # -- core arithmetic ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        """Carry-less multiply with interleaved reduction."""
-        m = self.modulus
-        top = self.order
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= m
-        return r
+        """a*b: log/antilog lookup up to LOG_TABLE_MAX_N, the shift-and-xor loop above."""
+        L = self._log or self._tables()
+        if L is None:
+            return _mul_bits(a, b, self.modulus, self.order)
+        if a and b:
+            return self._exp[L[a] + L[b]]
+        return 0
 
     def sqr(self, a: int) -> int:
-        return self.mul(a, a)
+        L = self._log or self._tables()
+        if L is None:
+            return _mul_bits(a, a, self.modulus, self.order)
+        return self._exp[2 * L[a]] if a else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
+        N = self.order - 1
+        L = self._log or self._tables()
+        if L is None:
+            return _pow_bits(a, N - 1, self.modulus, self.order)
+        return self._exp[N - L[a]]
 
     def pow(self, a: int, e: int) -> int:
         """a^e with the conventions 0^0 = 1 and 0^e = 0 for e > 0.
@@ -148,25 +248,15 @@ class FieldCtx:
         Negative e requires a != 0; x^(2^n - 2) therefore realizes 1/x with
         1/0 = 0, which several constructions below rely on.
         """
-        if e < 0:
-            if a == 0:
-                raise ValueError("negative power of 0")
-            a = self.inv(a)
-            e = -e
-        if e == 0:
-            return 1
         if a == 0:
-            return 0
-        e %= self.order - 1
-        if e == 0:
-            return 1
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+            if e < 0:
+                raise ValueError("negative power of 0")
+            return 1 if e == 0 else 0
+        N = self.order - 1
+        L = self._log or self._tables()
+        if L is None:
+            return _pow_bits(a, e % N, self.modulus, self.order)  # a^N = 1, so e may be reduced
+        return self._exp[L[a] * e % N]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -174,31 +264,29 @@ class FieldCtx:
     # -- traces and Frobenius -----------------------------------------------
 
     def trace_abs(self, x: int) -> int:
-        """Absolute trace x + x^2 + ... + x^(2^(n-1)), as a bit."""
-        acc = x
-        t = x
-        for _ in range(self.n - 1):
-            t = self.mul(t, t)
-            acc ^= t
-        return acc
+        """Absolute trace x + x^2 + ... + x^(2^(n-1)), as a bit: the parity of x & mask."""
+        return (x & (self._tmask or self._trace_mask())).bit_count() & 1
 
     def trace_rel(self, m: int, x: int) -> int:
         """Relative trace onto the subfield GF(2^m); m must divide n."""
         if self.n % m != 0:
             raise ValueError(f"m={m} does not divide n={self.n}")
-        acc = x
-        t = x
+        acc = t = x
         for _ in range(self.n // m - 1):
-            for _ in range(m):
-                t = self.mul(t, t)
+            t = self.frobenius(t, m)
             acc ^= t
         return acc
 
     def frobenius(self, x: int, j: int) -> int:
         """x^(2^j)."""
-        for _ in range(j % self.n):
-            x = self.mul(x, x)
-        return x
+        j %= self.n
+        L = self._log or self._tables()
+        if L is None:
+            m, top = self.modulus, self.order
+            for _ in range(j):
+                x = _mul_bits(x, x, m, top)
+            return x
+        return self._exp[(L[x] << j) % (self.order - 1)] if x else 0
 
     def sqrt(self, x: int) -> int:
         """The unique square root x^(2^(n-1))."""
@@ -215,13 +303,6 @@ class FieldCtx:
                 t //= p
         return t
 
-    def _find_generator(self) -> int:
-        full = self.order - 1
-        for g in range(2, self.order):
-            if self.mult_order(g) == full:
-                return g
-        raise AssertionError("no generator found (broken modulus?)")
-
     def is_primitive(self, a: int) -> bool:
         return a != 0 and self.mult_order(a) == self.order - 1
 
@@ -234,26 +315,19 @@ class FieldCtx:
         return range(1, self.order)
 
     def mul_table(self, c: int) -> list[int]:
-        """Lookup table T with T[x] = c*x, built from the n basis products.
-
-        Multiplication by a fixed element is GF(2)-linear, so the table is the
-        xor-closure of the basis images: T[x + 2^b] = T[x] ^ c*2^b for x < 2^b.
+        """Lookup table T with T[x] = c*x: multiplication by a fixed element is
+        GF(2)-linear, so T is the linear_table of the n basis products.
         Intended for hot loops at moderate n; memory is order * wordsize.
         """
-        T = [0]
-        for b in range(self.n):
-            cb = self.mul(c, 1 << b)
-            T += [t ^ cb for t in T]
-        return T
+        return linear_table([self.mul(c, 1 << b) for b in range(self.n)])
 
     def powers(self) -> list[int]:
         """The power table [g^0, g^1, ..., g^(N-1)], N = 2^n - 1: the one source of
-        power sequences and discrete logs.  Rebuilt in O(N) on each call."""
-        step = self.mul_table(self.generator)
-        P = [1] * (self.order - 1)
-        for i in range(1, len(P)):
-            P[i] = step[P[i - 1]]
-        return P
+        power sequences and discrete logs.  A fresh list each call: a copy of the
+        antilog table up to LOG_TABLE_MAX_N, an O(N) walk above it."""
+        if self._tables() is None:
+            return self._walk_powers()
+        return self._exp[: self.order - 1]
 
     # -- identity and serialization -------------------------------------------
 

@@ -21,7 +21,6 @@ __all__ = [
     "quadratic_solutions",
     "solve_artin_schreier",
     "cubic_has_unique_root",
-    "cubic_pattern",
     "quartic_pattern",
     "quartic_pattern_scan",
     "roots_by_scan",
@@ -122,15 +121,6 @@ def cubic_has_unique_root(ctx: FieldCtx, a: int, b: int) -> bool:
         raise ValueError("b = 0 is out of scope: x^3 + ax = x(x^2 + a)")
     w = ctx.mul(ctx.pow(a, 3), ctx.inv(ctx.sqr(b)))
     return ctx.trace_abs(w ^ 1) != 0
-
-
-def cubic_pattern(ctx: FieldCtx, a: int, b: int) -> FactorPattern:
-    """Factor pattern of x^3 + ax + b over the field (b != 0, so squarefree)."""
-    if b == 0:
-        raise ValueError("b = 0 is out of scope")
-    f = DensePoly.make(ctx, (b, a, 0, 1))
-    r = len(roots_by_scan(f))
-    return {0: FactorPattern.C3, 1: FactorPattern.C12, 3: FactorPattern.C111}[r]
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,8 @@ __all__ = [
     "resultant",
     "resultant_eliminate",
     "sylvester_matrix",
-    "det_cofactor",
     "dickson",
     "dickson_eval",
-    "dickson_coeff_sum",
     "dickson_inverse_exponent",
     "count_bivariate_zeros",
     "parse_poly",
@@ -363,20 +361,6 @@ def _det_bareiss(ctx: FieldCtx, rows: list[list[DensePoly]]) -> DensePoly:
     return rows[-1][-1]
 
 
-def det_cofactor(ctx: FieldCtx, rows: list[list[DensePoly]]) -> DensePoly:
-    """Determinant by cofactor expansion; exponential, kept as an oracle."""
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    acc = DensePoly.zero(ctx)
-    for j in range(size):
-        if rows[0][j].is_zero:
-            continue
-        minor = [[rows[i][jj] for jj in range(size) if jj != j] for i in range(1, size)]
-        acc = acc + rows[0][j] * det_cofactor(ctx, minor)
-    return acc
-
-
 def resultant_eliminate(F: "BivarPoly", G: "BivarPoly") -> DensePoly:
     """Eliminate y: the resultant of F and G taken as polynomials in y.
 
@@ -514,22 +498,6 @@ def dickson_eval(ctx: FieldCtx, r: int, a: int, x: int) -> int:
     for _ in range(r - 1):
         prev, cur = cur, mul(x, cur) ^ mul(a, prev)
     return cur
-
-
-def dickson_coeff_sum(ctx: FieldCtx, r: int, a: int) -> DensePoly:
-    """Defining-sum form of D_r(x, a), retained as a cross-check oracle.
-
-    The integer coefficient r/(r-i) * C(r-i, i) is computed exactly and then
-    reduced mod 2.
-    """
-    if r == 0:
-        return DensePoly.zero(ctx)
-    coeffs = [0] * (r + 1)
-    for i in range(r // 2 + 1):
-        c = r * math.comb(r - i, i) // (r - i)
-        if c % 2:
-            coeffs[r - 2 * i] = ctx.pow(a, i)
-    return DensePoly.make(ctx, coeffs)
 
 
 def dickson_inverse_exponent(r: int, m: int) -> int:

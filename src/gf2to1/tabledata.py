@@ -8,11 +8,14 @@ Table III: the twelve quadrinomial family identifiers.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
 
+@functools.cache
 def _load(name: str) -> dict:
+    """The parsed document, read once per process; callers only read it."""
     return json.loads(resources.files("gf2to1.data").joinpath(name).read_text())
 
 

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from .field import FieldCtx
+from .field import FieldCtx, linear_table
 from .poly import (
     BivarPoly,
     DensePoly,
@@ -41,7 +41,6 @@ __all__ = [
     "is_two_to_one",
     "fibers_two_to_one",
     "step_table",
-    "shift_criterion",
     "is_o_polynomial",
     "o_orbit",
     "square_map",
@@ -194,27 +193,6 @@ def is_two_to_one(f: SparsePoly) -> bool:
     return fibers_two_to_one(ctx.order, const, base, u0, t0, u1, t1)
 
 
-def shift_criterion(f: SparsePoly) -> bool:
-    """Whether f(x+a) + f(a) = 0 has exactly two roots for every a.
-
-    Equivalent to is_two_to_one (the count is the size of a's own fiber);
-    kept as a literally different pass for cross-checking.
-    """
-    ctx = f.ctx
-    V = value_table(f)
-    for a in ctx.elements():
-        va = V[a]
-        cnt = 0
-        for x in ctx.elements():
-            if V[x ^ a] == va:
-                cnt += 1
-                if cnt > 2:
-                    return False
-        if cnt != 2:
-            return False
-    return True
-
-
 def is_o_polynomial(f: SparsePoly) -> bool:
     """f(0) = 0 and f(x) + a*x is 2-to-1 for every nonzero a.
 
@@ -343,8 +321,13 @@ class FamilyId:
 
 
 def alpha_roots(ctx: FieldCtx, m: int) -> list[int]:
-    """All roots of z^(2^m) + z + 1 in the field (the n = 2m trinomial parameter)."""
-    return [z for z in ctx.elements() if ctx.frobenius(z, m) ^ z ^ 1 == 0]
+    """All roots of z^(2^m) + z + 1 in the field (the n = 2m trinomial parameter).
+
+    z -> z^(2^m) + z is GF(2)-linear, so its value table is the xor-closure of
+    the n basis images, and the roots are the z where it takes the value 1.
+    """
+    T = linear_table([ctx.frobenius(1 << b, m) ^ (1 << b) for b in range(ctx.n)])
+    return [z for z, v in enumerate(T) if v == 1]
 
 
 def omega_roots(ctx: FieldCtx) -> list[int]:

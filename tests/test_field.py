@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gf2to1.field import (
+    LOG_TABLE_MAX_N,
     FieldCtx,
     field_from_label,
     fmt_elem,
@@ -27,6 +28,45 @@ def brute_irreducibles(n):
         if all(not divides(d, m) for d in range(2, 1 << n) if d.bit_length() >= 2):
             out.append(m)
     return out
+
+
+def mul_ref(f, a, b):
+    """Shift-and-xor product in f: the tests' own multiply, independent of the field's tables."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & f.order:
+            a ^= f.modulus
+    return r
+
+
+def pow_ref(f, a, e):
+    """a^e for e >= 0 by square-and-multiply on mul_ref, with no reduction of e."""
+    r = 1
+    while e:
+        if e & 1:
+            r = mul_ref(f, r, a)
+        a = mul_ref(f, a, a)
+        e >>= 1
+    return r
+
+
+def squarings(f, x, count):
+    """[x, x^2, x^4, ...], count + 1 entries, by repeated mul_ref."""
+    out = [x]
+    for _ in range(count):
+        out.append(mul_ref(f, out[-1], out[-1]))
+    return out
+
+
+def xor_all(values):
+    acc = 0
+    for v in values:
+        acc ^= v
+    return acc
 
 
 class TestConstruction:
@@ -170,6 +210,92 @@ class TestTraceFrobenius:
         assert f.sqrt(0) == 0 and f.sqrt(1) == 1
 
 
+ALL_SMALL_MODULI = [(n, m) for n in range(2, 7) for m in brute_irreducibles(n)]
+CAP_FIELDS = [make_field(LOG_TABLE_MAX_N), make_field(LOG_TABLE_MAX_N + 1)]
+
+
+class TestTablesAgainstShiftXor:
+    """Every table-read operation against literal loops on mul_ref: exhaustive over
+    every irreducible modulus at n = 2..6, by hypothesis on both sides of the cap."""
+
+    @pytest.mark.parametrize("n,modulus", ALL_SMALL_MODULI)
+    def test_exhaustive(self, n, modulus):
+        f = FieldCtx(n, modulus)
+        N = f.order - 1
+        els = list(f.elements())
+        M = [[mul_ref(f, a, b) for b in els] for a in els]
+        for a in els:
+            assert [f.mul(a, b) for b in els] == M[a]
+            assert f.sqr(a) == M[a][a]
+        for a in f.nonzero():
+            a_inv = M[a].index(1)
+            assert f.inv(a) == a_inv
+            assert [f.div(b, a) for b in els] == [M[b][a_inv] for b in els]
+            t = 1
+            for e in range(3 * N + 2):  # past the group order, where e is reduced
+                assert f.pow(a, e) == t
+                t = M[t][a]
+            t = 1
+            for e in range(0, -(3 * N + 2), -1):
+                assert f.pow(a, e) == t
+                t = M[t][a_inv]
+        assert f.pow(0, 0) == 1
+        assert all(f.pow(0, e) == 0 for e in range(1, 3 * N + 2))
+        for bad in (lambda: f.pow(0, -1), lambda: f.inv(0), lambda: f.div(1, 0)):
+            with pytest.raises(ValueError):
+                bad()
+        for x in els:
+            sq = squarings(f, x, 2 * n)
+            assert [f.frobenius(x, j) for j in range(2 * n + 1)] == sq
+            assert M[f.sqrt(x)][f.sqrt(x)] == x
+            assert f.trace_abs(x) == xor_all(sq[:n])
+            for m in range(1, n + 1):
+                if n % m == 0:
+                    assert f.trace_rel(m, x) == xor_all(sq[:n:m])
+
+    @given(st.data())
+    def test_random_across_the_cap(self, data):
+        f = data.draw(st.sampled_from(CAP_FIELDS))
+        n = f.n
+        N = f.order - 1
+        a, b = (data.draw(st.integers(0, N)) for _ in range(2))
+        e = data.draw(st.integers(-3 * N, 3 * N))
+        j = data.draw(st.integers(0, 2 * n))
+        assert f.mul(a, b) == mul_ref(f, a, b)
+        assert f.sqr(a) == mul_ref(f, a, a)
+        if a == 0:
+            if e < 0:
+                with pytest.raises(ValueError):
+                    f.pow(a, e)
+            else:
+                assert f.pow(a, e) == (1 if e == 0 else 0)
+        else:
+            assert mul_ref(f, a, f.inv(a)) == 1
+            if e >= 0:
+                assert f.pow(a, e) == pow_ref(f, a, e)
+            else:
+                assert mul_ref(f, f.pow(a, e), pow_ref(f, a, -e)) == 1
+        if b:
+            assert mul_ref(f, f.div(a, b), b) == a
+        sq = squarings(f, a, max(j, n))
+        assert f.frobenius(a, j) == sq[j]
+        s = f.sqrt(a)
+        assert mul_ref(f, s, s) == a
+        assert f.trace_abs(a) == xor_all(sq[:n])
+        for m in range(1, n + 1):
+            if n % m == 0:
+                assert f.trace_rel(m, a) == xor_all(sq[:n:m])
+
+    def test_tables_only_up_to_the_cap(self):
+        small = make_field(LOG_TABLE_MAX_N)
+        assert small._exp is None  # nothing is built until used
+        assert small.mul(3, 5) == mul_ref(small, 3, 5)
+        assert len(small._exp) == 2 * (small.order - 1) and len(small._log) == small.order
+        big = make_field(LOG_TABLE_MAX_N + 1)
+        assert big.mul(3, 5) == mul_ref(big, 3, 5)
+        assert big._exp is None and big._log is None
+
+
 @st.composite
 def field_and_elems(draw, k=2):
     n = draw(st.integers(min_value=2, max_value=9))
@@ -210,7 +336,7 @@ class TestFieldAxioms:
         for x in (0, 1, f.order - 1, f.generator):
             assert T[x] == f.mul(c, x)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, LOG_TABLE_MAX_N + 1])
     def test_powers_match_pow(self, n):
         f = make_field(n)
         P = f.powers()

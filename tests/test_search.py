@@ -1,10 +1,12 @@
 import itertools
 import json
+from importlib import resources
 
 import pytest
 
 from gf2to1.field import make_field
 from gf2to1.poly import SparsePoly
+from gf2to1.tabledata import table1, table2, table3
 from gf2to1.search import (
     Hit,
     SearchReport,
@@ -293,3 +295,10 @@ class TestShapePredicates:
         ok = shape_predicate("quadrinomial", 16)
         assert ok(((12, 1), (9, 1), (2, 1), (1, 1)))
         assert not ok(((12, 1), (9, 1), (2, 2), (1, 1)))  # coefficients all 1
+
+
+@pytest.mark.parametrize("name,load", [("table1.json", table1), ("table2.json", table2), ("table3.json", table3)])
+def test_table_documents_are_parsed_once(name, load):
+    first = load()
+    assert load() is first  # cached for the process
+    assert first == json.loads(resources.files("gf2to1.data").joinpath(name).read_text())

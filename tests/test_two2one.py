@@ -21,7 +21,6 @@ from gf2to1.two2one import (
     qm_canonical,
     qm_shape_orbit,
     qm_transforms,
-    shift_criterion,
     square_map,
     step_table,
     value_table,
@@ -51,6 +50,27 @@ def random_sparse(draw, n_min=2, n_max=6, max_terms=4, any_exponent=False):
     f = SparsePoly.make(ctx, terms)
     assume(not f.reduced().is_zero)
     return f
+
+
+def shift_criterion(f):
+    """Whether f(x+a) + f(a) = 0 has exactly two roots for every a.
+
+    Equivalent to is_two_to_one (the count is the size of a's own fiber), and a
+    literally different pass, so it cross-checks the fiber kernel.
+    """
+    ctx = f.ctx
+    V = value_table(f)
+    for a in ctx.elements():
+        va = V[a]
+        cnt = 0
+        for x in ctx.elements():
+            if V[x ^ a] == va:
+                cnt += 1
+                if cnt > 2:
+                    return False
+        if cnt != 2:
+            return False
+    return True
 
 
 def qm_transforms_by_mul(f):
@@ -377,6 +397,13 @@ class TestFamilies:
         assert FamilyId("quad_12", 12).admissibility_error() is not None
         with pytest.raises(ValueError, match="does not match"):
             make_family(FamilyId("quad_01", 5), F8)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_alpha_roots_match_frobenius_scan(self, n):
+        ctx = make_field(n)
+        for m in range(1, n + 1):
+            scan = [z for z in ctx.elements() if ctx.frobenius(z, m) ^ z ^ 1 == 0]
+            assert alpha_roots(ctx, m) == scan
 
     def test_all_parameter_roots_give_two_to_one(self):
         ctx = make_field(6)
