@@ -3,9 +3,11 @@ deterministic reporting and comparison against the bundled reference tables.
 
 Candidates are verified by the fiber kernel of two2one, fed precomputed
 power lists and at most two coefficient streams; it stops at the first fiber
-of size 3.  The candidate space is split into contiguous exponent ranges for
-worker processes; partial hit lists are merged and globally sorted, so a
-report is byte-identical for any worker count.
+of size 3.  Shard i of W scans every W-th value of the outer loop from the
+i-th on (the exponent k for the sparse shapes, a3 for degree 5), one worker
+process per shard; the cost of a k grows with k, so the strides carry about
+equal work.  Partial hit lists are merged and globally sorted, so a report
+is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def shape_predicate(shape: str, order: int):
 
 
 def _degree5_shard(args) -> tuple[list[tuple], int]:
-    n, modulus, lo, hi = args
+    n, modulus, a3s = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
@@ -159,7 +161,7 @@ def _degree5_shard(args) -> tuple[list[tuple], int]:
     tg = ctx.mul_table(ctx.generator)
     hits: list[tuple] = []
     scanned = 0
-    for a3 in range(lo, hi):
+    for a3 in a3s:
         T3 = ctx.mul_table(a3)
         for a2 in range(order):
             T2 = ctx.mul_table(a2)
@@ -206,7 +208,7 @@ def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
 
 
 def _sparse_shard(args) -> tuple[list[tuple], int]:
-    n, modulus, shape, dedupe, lo, hi = args
+    n, modulus, shape, dedupe, ks = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
@@ -215,7 +217,7 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
     scanned = 0
     if shape == "binomial":
         pow2 = _pow2_residues(N)
-        for k in range(max(lo, 2), hi):
+        for k in (k for k in ks if k >= 2):
             AK = _power_array(P, k)
             for l in range(1, k):
                 if _binomial_is_linearized_class(k, l, N, pow2):
@@ -227,7 +229,7 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
                         hits.append(((k, 1), (l, alpha)))
     elif shape == "trinomial":
         tg = ctx.mul_table(ctx.generator)
-        for k in range(max(lo, 3), hi):
+        for k in (k for k in ks if k >= 3):
             AK = _power_array(P, k)
             k_pow2 = _is_pow2(k)
             for l in range(2, k):
@@ -240,7 +242,7 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
                         hits.append(((k, 1), (l, beta), (1, alpha)))
     elif shape == "quadrinomial":
         tabs = [ctx.mul_table(P[e]) for e in range(N - 1)]
-        for k in range(max(lo, 4), hi):
+        for k in (k for k in ks if k >= 4):
             AK = _power_array(P, k)
             base = [AK[i] ^ P[i] for i in range(N)]  # x^k + x
             for l in range(3, k):
@@ -253,29 +255,21 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
     return hits, scanned
 
 
-def _run_shards(fn, shard_args, workers: int):
-    if workers <= 1 or len(shard_args) <= 1:
+def _strides(lo: int, hi: int, workers: int) -> list[range]:
+    """range(lo, hi) dealt into W = min(workers, hi - lo) strides, one per shard."""
+    W = min(workers, len(range(lo, hi)))
+    return [range(lo + i, hi, W) for i in range(W)]
+
+
+def _run_shards(fn, shard_args):
+    if len(shard_args) <= 1:
         return [fn(a) for a in shard_args]
     try:
         ctx = mp.get_context("fork")
     except ValueError:
         ctx = mp.get_context()
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
+    with ProcessPoolExecutor(max_workers=len(shard_args), mp_context=ctx) as ex:
         return list(ex.map(fn, shard_args))
-
-
-def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    total = hi - lo
-    parts = max(1, min(parts, total))
-    out = []
-    base = total // parts
-    rem = total % parts
-    at = lo
-    for i in range(parts):
-        size = base + (1 if i < rem else 0)
-        out.append((at, at + size))
-        at += size
-    return [(a, b) for a, b in out if b > a]
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +321,10 @@ def search_degree5(ctx: FieldCtx, workers: int = 1, dedupe: str = "none") -> Sea
         raise ValueError(f"degree5 search capped at n={DEGREE5_MAX_N}, got n={ctx.n}")
     _check_options(dedupe, workers)
     t0 = time.monotonic()
-    shards = [
-        (ctx.n, ctx.modulus, lo, hi) for lo, hi in _split_range(0, ctx.order, workers)
-    ]
+    shards = [(ctx.n, ctx.modulus, a3s) for a3s in _strides(0, ctx.order, workers)]
     raw: list[tuple] = []
     scanned = 0
-    for hits, cnt in _run_shards(_degree5_shard, shards, workers):
+    for hits, cnt in _run_shards(_degree5_shard, shards):
         raw.extend(hits)
         scanned += cnt
     notes = ()
@@ -369,14 +361,13 @@ def search_sparse(
         hint = "" if long_run else " (pass the long-run flag for n=7)"
         raise ValueError(f"sparse search capped at n={cap}, got n={ctx.n}{hint}")
     t0 = time.monotonic()
-    N = ctx.order - 1
     shards = [
-        (ctx.n, ctx.modulus, shape, dedupe, lo, hi)
-        for lo, hi in _split_range(2, N, workers)
+        (ctx.n, ctx.modulus, shape, dedupe, ks)
+        for ks in _strides(2, ctx.order - 1, workers)
     ]
     raw: list[tuple] = []
     scanned = 0
-    for hits, cnt in _run_shards(_sparse_shard, shards, workers):
+    for hits, cnt in _run_shards(_sparse_shard, shards):
         raw.extend(hits)
         scanned += cnt
     return _finalize(ctx, shape, dedupe, raw, scanned, t0)

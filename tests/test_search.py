@@ -4,10 +4,12 @@ from importlib import resources
 
 import pytest
 
+from gf2to1 import search
 from gf2to1.field import make_field
 from gf2to1.poly import SparsePoly
 from gf2to1.tabledata import table1, table2, table3
 from gf2to1.search import (
+    SHAPES,
     Hit,
     SearchReport,
     compare_with_table,
@@ -127,15 +129,26 @@ class TestDegree5:
 
 
 class TestSparseSearches:
-    @pytest.mark.parametrize("shape", ["binomial", "trinomial", "quadrinomial"])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_completeness_against_literal_loops(self, shape, n):
+    @pytest.mark.parametrize(
+        "n,shape",
+        [
+            *itertools.product([3, 4], ["binomial", "quadrinomial", "trinomial"]),
+            (5, "binomial"),
+            (5, "quadrinomial"),
+            pytest.param(5, "trinomial", marks=pytest.mark.long),  # the oracle takes ~12 s
+        ],
+    )
+    def test_completeness_against_literal_loops(self, n, shape):
         ctx = make_field(n)
-        rep = search_sparse(ctx, shape, dedupe="none")
+        rep = search_sparse(ctx, shape, dedupe="none", workers=2)
         assert {h.poly.terms for h in rep.hits} == brute_sparse(ctx, shape)
         pred = shape_predicate(shape, ctx.order)
+        sizes = {}  # a shape orbit is one set seen from each of its members: one walk per orbit
         for h in rep.hits:
-            assert h.orbit_size == len(qm_shape_orbit(h.poly, pred))
+            if h.poly.terms not in sizes:
+                orbit = qm_shape_orbit(h.poly, pred)
+                sizes.update(dict.fromkeys(orbit, len(orbit)))
+            assert h.orbit_size == sizes[h.poly.terms]
 
     @pytest.mark.parametrize("shape", ["binomial", "trinomial", "quadrinomial"])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -186,17 +199,69 @@ class TestSparseSearches:
             search_degree5(F8, workers=workers)
 
 
-class TestDeterminism:
-    def test_worker_count_does_not_change_reports(self):
-        a = search_degree5(F8, workers=1)
-        b = search_degree5(F8, workers=2)
-        assert report_to_json(a, include_timing=False) == report_to_json(b, include_timing=False)
+def _search(shape, ctx, workers, dedupe="none"):
+    if shape == "degree5":
+        return search_degree5(ctx, workers=workers, dedupe=dedupe)
+    return search_sparse(ctx, shape, dedupe=dedupe, workers=workers)
 
-    def test_sparse_worker_invariance(self):
-        a = search_sparse(make_field(4), "trinomial", workers=1)
-        b = search_sparse(make_field(4), "trinomial", workers=3)
-        assert report_to_json(a, include_timing=False) == report_to_json(b, include_timing=False)
-        assert a.candidates_scanned == b.candidates_scanned
+
+class TestDeterminism:
+    @pytest.mark.parametrize("dedupe", ["none", "qm"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_worker_count_does_not_change_reports(self, shape, dedupe):
+        ctx = make_field(3 if shape == "degree5" else 4)
+        reps = [_search(shape, ctx, w, dedupe) for w in (1, 2, 3)]
+        docs = {report_to_json(r, include_timing=False) for r in reps}
+        assert len(docs) == 1
+        assert len({r.candidates_scanned for r in reps}) == 1
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_shards_partition_the_exponent_range(self, n, shape, monkeypatch):
+        ctx = make_field(n)
+        N = ctx.order - 1
+        scanned = set(range(ctx.order) if shape == "degree5" else range(2, N))
+        shards = []
+
+        def record(fn, shard_args):  # keeps the exponent ranges, scans nothing
+            shards.append([set(a[-1]) for a in shard_args])
+            return [([], 0)] * len(shard_args)
+
+        monkeypatch.setattr(search, "_run_shards", record)
+        for workers in range(1, N + 2):
+            _search(shape, ctx, workers)
+            parts = shards.pop()
+            assert len(parts) == min(workers, len(scanned))
+            assert all(parts)
+            assert sum(map(len, parts)) == len(scanned)  # disjoint
+            assert set().union(*parts) == scanned
+
+    def test_pool_sized_to_the_shards(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:  # records the pool size and starts no process
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        a = search_sparse(F8, "binomial", workers=64)
+        b = search_degree5(F8, workers=64)
+        assert sizes == [5, 8]  # exponents 2..6, a3 in GF(8)
+        assert report_to_json(a, include_timing=False) == report_to_json(
+            search_sparse(F8, "binomial"), include_timing=False
+        )
+        assert report_to_json(b, include_timing=False) == report_to_json(
+            search_degree5(F8), include_timing=False
+        )
 
 
 class TestTableComparison:
