@@ -22,13 +22,15 @@ from .lowdeg import (
 )
 from .poly import count_bivariate_zeros, parse_poly
 from .search import (
+    SEARCH_LONG_MAX_N,
+    SEARCH_MAX_N,
     SHAPES,
+    TABLE_RUNS,
     compare_with_table,
     diff_to_dict,
     report_from_json,
     report_to_csv,
     report_to_dict,
-    search_degree5,
     search_sparse,
 )
 from .two2one import (
@@ -138,15 +140,9 @@ def _cmd_family(args) -> int:
     return EXIT_OK if verified else EXIT_MISMATCH
 
 
-def _run_search(ctx, shape, dedupe, long_run, workers):
-    if shape == "degree5":
-        return search_degree5(ctx, workers=workers, dedupe=dedupe)
-    return search_sparse(ctx, shape, dedupe=dedupe, long_run=long_run, workers=workers)
-
-
 def _cmd_search(args) -> int:
     ctx = _field(args)
-    report = _run_search(ctx, args.shape, args.dedupe, args.long, args.workers)
+    report = search_sparse(ctx, args.shape, args.dedupe, args.long, args.workers)
     fmt = _fmt(args)
     if fmt == "json":
         _emit(_json(report_to_dict(report)))
@@ -165,29 +161,17 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-_TABLE_RUNS = {
-    "I": ("degree5", (3,)),
-    "II": ("trinomial", (3, 4, 5, 6, 7)),
-    "III": ("quadrinomial", (3, 4, 5, 6, 7)),
-}
-
-
 def _cmd_tables(args) -> int:
-    shape, all_n = _TABLE_RUNS[args.which]
-    n_max = args.n_max or (7 if args.long else 6)
-    if n_max == 7 and not args.long:
-        _diag("error: --n-max 7 runs the n=7 searches; pass --long")
+    shape, dedupe, all_n = TABLE_RUNS[args.which]
+    n_max = args.n_max or (SEARCH_LONG_MAX_N if args.long else SEARCH_MAX_N)
+    if n_max > SEARCH_MAX_N and not args.long:
+        _diag(f"error: --n-max {n_max} runs the n={n_max} searches; pass --long")
         return EXIT_USAGE
     ns = [n for n in all_n if n <= n_max]
     results = []
     for n in ns:
         ctx = make_field(n)
-        if shape == "degree5":
-            report = search_degree5(ctx, workers=args.workers)
-        else:
-            report = search_sparse(
-                ctx, shape, dedupe="qm", long_run=args.long, workers=args.workers
-            )
+        report = search_sparse(ctx, shape, dedupe, args.long, args.workers)
         diff = compare_with_table(report, args.which)
         results.append((n, report, diff))
     ok = all(d.ok for _, _, d in results)
@@ -332,17 +316,23 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_family)
 
     c = sub.add_parser("search", help="exhaustive search over a shape template")
-    c.add_argument("--shape", choices=SHAPES, required=True)
+    c.add_argument("--shape", choices=tuple(SHAPES), required=True)
     c.add_argument("--dedupe", choices=("qm", "none"), default=None)
-    c.add_argument("--long", action="store_true", help="allow the n=7 budget")
+    c.add_argument("--long", action="store_true", help=f"allow the n={SEARCH_LONG_MAX_N} budget")
     c.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     _add_field_args(c)
     c.set_defaults(fn=_cmd_search)
 
     c = sub.add_parser("tables", help="reproduce a bundled reference table and diff")
-    c.add_argument("--which", choices=("I", "II", "III"), required=True)
-    c.add_argument("--n-max", type=int, choices=range(3, 8), dest="n_max", help="default 7 with --long, else 6")
-    c.add_argument("--long", action="store_true", help="include the n=7 searches")
+    c.add_argument("--which", choices=tuple(TABLE_RUNS), required=True)
+    c.add_argument(
+        "--n-max",
+        type=int,
+        choices=range(3, SEARCH_LONG_MAX_N + 1),
+        dest="n_max",
+        help=f"default {SEARCH_LONG_MAX_N} with --long, else {SEARCH_MAX_N}",
+    )
+    c.add_argument("--long", action="store_true", help=f"include the n={SEARCH_LONG_MAX_N} searches")
     c.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     c.add_argument("--format", choices=FORMATS)
     c.set_defaults(fn=_cmd_tables)

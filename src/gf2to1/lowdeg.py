@@ -266,12 +266,6 @@ def lemma_cubic_agreement(ctx: FieldCtx) -> AgreementReport:
             criterion = tr[ctx.mul(cube_a, inv_sq[b]) ^ 1] != 0
             if criterion != (hist[b] == 1):
                 mismatches.append((a, b))
-    if ctx.n <= 4:  # spot-check the fused criterion against the public op
-        for a in ctx.elements():
-            for b in ctx.nonzero():
-                hist_ok = cubic_has_unique_root(ctx, a, b)
-                fused = tr[ctx.mul(ctx.mul(ctx.sqr(a), a), inv_sq[b]) ^ 1] != 0
-                assert hist_ok == fused
     return AgreementReport("cubic", ctx.n, checked, tuple(mismatches))
 
 
@@ -323,11 +317,4 @@ def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
                     oracle = FactorPattern.Q4
                 if _classify_quartic(ctx, a0, scaled, trace) is not oracle:
                     mismatches.append((a2, a1, a0))
-    if ctx.n <= 4:  # the grouped criterion must be the public op, literally
-        for a2 in ctx.elements():
-            for a1 in ctx.nonzero():
-                for a0 in ctx.nonzero():
-                    assert quartic_pattern(ctx, a2, a1, a0) is quartic_pattern_scan(
-                        ctx, a2, a1, a0
-                    )
     return AgreementReport("quartic", ctx.n, checked, tuple(mismatches))

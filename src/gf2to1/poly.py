@@ -204,12 +204,6 @@ class DensePoly:
         mul = self.ctx.mul
         return DensePoly(self.ctx, tuple(mul(c, v) for v in self.coeffs))
 
-    def shifted(self, k: int) -> "DensePoly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return DensePoly(self.ctx, (0,) * k + self.coeffs)
-
     def monic(self) -> "DensePoly":
         return self.scale(self.ctx.inv(self.lead))
 
@@ -244,12 +238,6 @@ class DensePoly:
             a, b = b, a.divmod(b)[1]
         return a if a.is_zero else a.monic()
 
-    def pow(self, k: int) -> "DensePoly":
-        r = DensePoly.const(self.ctx, 1)
-        for _ in range(k):
-            r = r * self
-        return r
-
     def to_sparse(self) -> SparsePoly:
         return SparsePoly.make(self.ctx, ((i, c) for i, c in enumerate(self.coeffs) if c))
 
@@ -277,14 +265,13 @@ def equal_up_to_scalar(p: DensePoly, q: DensePoly) -> bool:
 # resultants
 
 
-def sylvester_matrix(u, v, zero, one=None):
+def sylvester_matrix(u, v, zero):
     """Sylvester matrix of u, v given as coefficient lists ascending by degree.
 
     Entries are whatever the coefficient type is (field ints or DensePoly);
     u rows are repeated deg(v) times, v rows deg(u) times.
     """
     m, n = len(u) - 1, len(v) - 1
-    size = m + n
     rows = []
     urow = list(reversed(u))
     vrow = list(reversed(v))

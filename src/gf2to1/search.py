@@ -1,13 +1,16 @@
 """Exhaustive enumeration engines for 2-to-1 polynomial searches, with
 deterministic reporting and comparison against the bundled reference tables.
 
-Candidates are verified by the fiber kernel of two2one, fed precomputed
-power lists and at most two coefficient streams; it stops at the first fiber
-of size 3.  Shard i of W scans every W-th value of the outer loop from the
-i-th on (the exponent k for the sparse shapes, a3 for degree 5), one worker
-process per shard; the cost of a k grows with k, so the strides carry about
-equal work.  Partial hit lists are merged and globally sorted, so a report
-is byte-identical for any worker count.
+One driver and one shard function serve the four templates in SHAPES.  Each
+shape declares there the lowest value of its outer loop: a3 for degree 5,
+the leading exponent k for the sparse shapes.  Candidates are verified by the
+fiber kernel of two2one, fed precomputed power lists and at most two
+coefficient streams; it stops at the first fiber of size 3.  Shard i of W
+scans every W-th outer value from the i-th on, one worker process per shard;
+the cost of a k grows with k, so the strides carry about equal work.  Partial
+hit lists are merged and globally sorted, so a report is byte-identical for
+any worker count.  Every shape is capped at n <= SEARCH_MAX_N, or
+SEARCH_LONG_MAX_N with the long-run flag.
 """
 
 from __future__ import annotations
@@ -30,11 +33,21 @@ from .two2one import (
     qm_shape_orbit,
 )
 
-DEGREE5_MAX_N = 7
-SPARSE_MAX_N = 6
-SPARSE_LONG_MAX_N = 7
+SEARCH_MAX_N = 6
+SEARCH_LONG_MAX_N = 7
 
-SHAPES = ("degree5", "binomial", "trinomial", "quadrinomial")
+# shape -> lowest value of its outer loop: a3 runs over the whole field; the
+# exponent k starts at 3 for binomials (k = 2 gives x^2 + alpha*x, always in
+# the linearized class), at 3 for trinomials (k > l > 1) and at 4 for
+# quadrinomials (k > l > d > 1)
+SHAPES = {"degree5": 0, "binomial": 3, "trinomial": 3, "quadrinomial": 4}
+
+# table -> (shape, dedupe, field degrees) of the searches that reproduce it
+TABLE_RUNS = {
+    "I": ("degree5", "none", (3,)),
+    "II": ("trinomial", "qm", (3, 4, 5, 6, 7)),
+    "III": ("quadrinomial", "qm", (3, 4, 5, 6, 7)),
+}
 
 __all__ = [
     "Hit",
@@ -141,36 +154,12 @@ def shape_predicate(shape: str, order: int):
             return one == 1 and d > 1 and k <= N - 1
 
     else:
-        raise ValueError(f"unknown shape {shape!r}; expected one of {SHAPES}")
+        raise ValueError(f"unknown shape {shape!r}; expected one of {tuple(SHAPES)}")
     return ok
 
 
 # ---------------------------------------------------------------------------
 # worker internals
-
-
-def _degree5_shard(args) -> tuple[list[tuple], int]:
-    n, modulus, a3s = args
-    ctx = FieldCtx(n, modulus)
-    order = ctx.order
-    N = order - 1
-    P = ctx.powers()
-    A5 = _power_array(P, 5)
-    A3 = _power_array(P, 3)
-    A2 = _power_array(P, 2)
-    tg = ctx.mul_table(ctx.generator)
-    hits: list[tuple] = []
-    scanned = 0
-    for a3 in a3s:
-        T3 = ctx.mul_table(a3)
-        for a2 in range(order):
-            T2 = ctx.mul_table(a2)
-            W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
-            for a1 in range(order):
-                scanned += 1
-                if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
-                    hits.append(tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]))
-    return hits, scanned
 
 
 def _power_array(P: list[int], e: int) -> list[int]:
@@ -207,17 +196,31 @@ def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
     return [(P[B], P[A]) for B in range(u) for A in range(w)]
 
 
-def _sparse_shard(args) -> tuple[list[tuple], int]:
-    n, modulus, shape, dedupe, ks = args
+def _shard(args) -> tuple[list[tuple], int]:
+    n, modulus, shape, dedupe, outer = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
     P = ctx.powers()
     hits: list[tuple] = []
     scanned = 0
-    if shape == "binomial":
+    if shape == "degree5":
+        A5 = _power_array(P, 5)
+        A3 = _power_array(P, 3)
+        A2 = _power_array(P, 2)
+        tg = ctx.mul_table(ctx.generator)
+        for a3 in outer:
+            T3 = ctx.mul_table(a3)
+            for a2 in range(order):
+                T2 = ctx.mul_table(a2)
+                W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
+                for a1 in range(order):
+                    scanned += 1
+                    if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
+                        hits.append(tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]))
+    elif shape == "binomial":
         pow2 = _pow2_residues(N)
-        for k in (k for k in ks if k >= 2):
+        for k in outer:
             AK = _power_array(P, k)
             for l in range(1, k):
                 if _binomial_is_linearized_class(k, l, N, pow2):
@@ -229,7 +232,7 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
                         hits.append(((k, 1), (l, alpha)))
     elif shape == "trinomial":
         tg = ctx.mul_table(ctx.generator)
-        for k in (k for k in ks if k >= 3):
+        for k in outer:
             AK = _power_array(P, k)
             k_pow2 = _is_pow2(k)
             for l in range(2, k):
@@ -240,9 +243,9 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
                     scanned += 1
                     if fibers_two_to_one(order, 0, AK, beta, TL, alpha, tg):
                         hits.append(((k, 1), (l, beta), (1, alpha)))
-    elif shape == "quadrinomial":
+    else:  # quadrinomial
         tabs = [ctx.mul_table(P[e]) for e in range(N - 1)]
-        for k in (k for k in ks if k >= 4):
+        for k in outer:
             AK = _power_array(P, k)
             base = [AK[i] ^ P[i] for i in range(N)]  # x^k + x
             for l in range(3, k):
@@ -250,8 +253,6 @@ def _sparse_shard(args) -> tuple[list[tuple], int]:
                     scanned += 1
                     if fibers_two_to_one(order, 0, base, 1, tabs[l], 1, tabs[d]):
                         hits.append(((k, 1), (l, 1), (d, 1), (1, 1)))
-    else:
-        raise ValueError(f"unknown sparse shape {shape!r}")
     return hits, scanned
 
 
@@ -285,16 +286,15 @@ def _finalize(
     t0: float,
     notes: tuple[str, ...] = (),
 ) -> SearchReport:
-    """One canonical and one shape-orbit walk per class: each orbit member, and the
-    raw tuple itself (unreduced at n = 2), maps to the class's canonical Hit."""
+    """One canonical and one shape-orbit walk per class: each orbit member maps
+    to the class's canonical Hit."""
     pred = shape_predicate(shape, ctx.order)
     classes: dict[tuple, Hit] = {}
     for t in raw_terms:
         if t not in classes:
             p = SparsePoly(ctx, t)
             orbit = qm_shape_orbit(p, pred)
-            cls = Hit(qm_canonical(p), len(orbit))
-            classes.update(dict.fromkeys(orbit | {t}, cls))
+            classes.update(dict.fromkeys(orbit, Hit(qm_canonical(p), len(orbit))))
     if dedupe == "qm":
         chosen = set(classes.values())
     else:
@@ -304,33 +304,46 @@ def _finalize(
     return SearchReport(ctx, shape, dedupe, hits, scanned, elapsed_ms, notes)
 
 
-def _check_options(dedupe: str, workers: int) -> None:
+def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int) -> SearchReport:
+    """The one search driver.  search_degree5 and search_sparse both call it and
+    never each other, so a span around either public function times one search."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r}; expected one of {tuple(SHAPES)}")
     if dedupe not in ("qm", "none"):
         raise ValueError(f"dedupe must be 'qm' or 'none', got {dedupe!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    cap = SEARCH_LONG_MAX_N if long_run else SEARCH_MAX_N
+    if ctx.n > cap:
+        hint = "" if long_run else f" (pass the long-run flag for n={SEARCH_LONG_MAX_N})"
+        raise ValueError(f"{shape} search capped at n={cap}, got n={ctx.n}{hint}")
+    if shape == "degree5" and ctx.n < 3:
+        raise ValueError(f"degree5 search needs n >= 3 (x^5 = x^2 on GF(4)), got n={ctx.n}")
+    t0 = time.monotonic()
+    hi = ctx.order if shape == "degree5" else ctx.order - 1
+    shards = [
+        (ctx.n, ctx.modulus, shape, dedupe, outer)
+        for outer in _strides(SHAPES[shape], hi, workers)
+    ]
+    raw: list[tuple] = []
+    scanned = 0
+    for hits, cnt in _run_shards(_shard, shards):
+        raw.extend(hits)
+        scanned += cnt
+    notes = ()
+    if shape == "degree5" and ctx.n != 3:
+        notes = (f"no bundled reference table covers degree5 hits at n={ctx.n}; new data",)
+    return _finalize(ctx, shape, dedupe, raw, scanned, t0, notes)
 
 
 def search_degree5(ctx: FieldCtx, workers: int = 1, dedupe: str = "none") -> SearchReport:
     """All (a3, a2, a1) whose normalized quintic x^5+a3x^3+a2x^2+a1x is 2-to-1.
 
-    Cost 2^(3n) candidates with early exit; capped at n <= 7.  The raw triple
-    list (dedupe="none") is the reference-table form.
+    Cost 2^(3n) candidates with early exit, for 3 <= n <= SEARCH_MAX_N; the
+    n = SEARCH_LONG_MAX_N run goes through search_sparse with long_run=True.
+    The raw triple list (dedupe="none") is the reference-table form.
     """
-    if ctx.n > DEGREE5_MAX_N:
-        raise ValueError(f"degree5 search capped at n={DEGREE5_MAX_N}, got n={ctx.n}")
-    _check_options(dedupe, workers)
-    t0 = time.monotonic()
-    shards = [(ctx.n, ctx.modulus, a3s) for a3s in _strides(0, ctx.order, workers)]
-    raw: list[tuple] = []
-    scanned = 0
-    for hits, cnt in _run_shards(_degree5_shard, shards):
-        raw.extend(hits)
-        scanned += cnt
-    notes = ()
-    if ctx.n != 3:
-        notes = (f"no bundled reference table covers degree5 hits at n={ctx.n}; new data",)
-    return _finalize(ctx, "degree5", dedupe, raw, scanned, t0, notes)
+    return _search(ctx, "degree5", dedupe, False, workers)
 
 
 def search_sparse(
@@ -340,8 +353,9 @@ def search_sparse(
     long_run: bool = False,
     workers: int = 1,
 ) -> SearchReport:
-    """Exhaustive search over a sparse shape template.
+    """Exhaustive search over any shape template in SHAPES.
 
+    degree5: x^5 + a3*x^3 + a2*x^2 + a1*x, n >= 3 (see search_degree5).
     binomial: x^k + alpha*x^l, k > l >= 1, alpha != 0.
     trinomial: x^k + beta*x^l + alpha*x, k > l > 1, alpha, beta != 0.
     quadrinomial: x^k + x^l + x^d + x, k > l > d > 1.
@@ -351,26 +365,10 @@ def search_sparse(
     for trinomials this means k and l both powers of two, for binomials that
     k/l mod 2^n - 1 is a power of two.  dedupe="qm" reports one
     representative per equivalence class and prunes coefficient orbits during
-    enumeration; dedupe="none" is the literal loop.
+    enumeration; dedupe="none" is the literal loop.  Every shape runs up to
+    n = SEARCH_MAX_N, or SEARCH_LONG_MAX_N with long_run.
     """
-    if shape not in ("binomial", "trinomial", "quadrinomial"):
-        raise ValueError(f"unknown sparse shape {shape!r}")
-    _check_options(dedupe, workers)
-    cap = SPARSE_LONG_MAX_N if long_run else SPARSE_MAX_N
-    if ctx.n > cap:
-        hint = "" if long_run else " (pass the long-run flag for n=7)"
-        raise ValueError(f"sparse search capped at n={cap}, got n={ctx.n}{hint}")
-    t0 = time.monotonic()
-    shards = [
-        (ctx.n, ctx.modulus, shape, dedupe, ks)
-        for ks in _strides(2, ctx.order - 1, workers)
-    ]
-    raw: list[tuple] = []
-    scanned = 0
-    for hits, cnt in _run_shards(_sparse_shard, shards):
-        raw.extend(hits)
-        scanned += cnt
-    return _finalize(ctx, shape, dedupe, raw, scanned, t0)
+    return _search(ctx, shape, dedupe, long_run, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +471,6 @@ def _compare_table3(report: SearchReport) -> TableDiff:
     return TableDiff("III", None, tuple(sorted(missing)), ())
 
 
-_TABLE_SHAPES = {"I": "degree5", "II": "trinomial", "III": "quadrinomial"}
-
-
 def compare_with_table(report: SearchReport, which: str) -> TableDiff:
     """Empty diff exactly when the report reproduces the reference table.
 
@@ -485,12 +480,11 @@ def compare_with_table(report: SearchReport, which: str) -> TableDiff:
     row expanded over all roots of its parameter equation.  Table III:
     membership of every family admissible at the report's n.
     """
-    if which not in _TABLE_SHAPES:
+    if which not in TABLE_RUNS:
         raise ValueError(f"unknown table {which!r}; expected I, II or III")
-    if report.shape != _TABLE_SHAPES[which]:
-        raise ValueError(
-            f"table {which} compares {_TABLE_SHAPES[which]} reports, got {report.shape!r}"
-        )
+    shape = TABLE_RUNS[which][0]
+    if report.shape != shape:
+        raise ValueError(f"table {which} compares {shape} reports, got {report.shape!r}")
     if which == "I":
         return _compare_table1(report)
     if which == "II":

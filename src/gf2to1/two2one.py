@@ -335,10 +335,20 @@ def omega_roots(ctx: FieldCtx) -> list[int]:
     return [z for z in ctx.elements() if ctx.sqr(z) ^ z ^ 1 == 0]
 
 
-def _smallest(roots: list[int], what: str) -> int:
-    if not roots:
-        raise ValueError(f"no root found for {what}: admissibility predicate is broken")
-    return min(roots)
+def _root_param(roots: list[int], what: str, param: int | None) -> int:
+    """param, which must be one of roots; by default the smallest root."""
+    if param is None:
+        if not roots:
+            raise ValueError(f"no root found for {what}: admissibility predicate is broken")
+        return min(roots)
+    if param not in roots:
+        raise ValueError(f"param {param:#x} is not a root of {what}")
+    return param
+
+
+def _no_param(param: int | None) -> None:
+    if param is not None:
+        raise ValueError(f"this family has no element parameter, got param {param:#x}")
 
 
 def _deg5_rows() -> list[tuple[int, int, int]]:
@@ -377,6 +387,7 @@ def _n3(n: int) -> str | None:
 
 def _bin(k_of):
     def build(ctx: FieldCtx, param=None):
+        _no_param(param)
         return [(k_of(ctx.n), 1), (1, 1)]
 
     return build
@@ -388,20 +399,21 @@ def _glynn_pi(n: int) -> int:
 
 def _tri_1(ctx: FieldCtx, param=None):
     m = ctx.n // 2
-    alpha = _smallest(alpha_roots(ctx, m), f"z^(2^{m}) + z + 1") if param is None else param
+    alpha = _root_param(alpha_roots(ctx, m), f"z^(2^{m}) + z + 1", param)
     return [((1 << ctx.n) - (1 << m), 1), ((1 << ctx.n) - (1 << m) - 1, 1), (1, alpha)]
 
 
 def _tri_2(ctx: FieldCtx, param=None):
     n = ctx.n
     m = n // 2
-    omega = _smallest(omega_roots(ctx), "z^2 + z + 1") if param is None else param
+    omega = _root_param(omega_roots(ctx), "z^2 + z + 1", param)
     k = ((1 << (n - 1)) + (1 << m) - 1) // 3
     return [(k, 1), (1 << m, 1), (1, omega)]
 
 
 def _quad(exps_of):
     def build(ctx: FieldCtx, param=None):
+        _no_param(param)
         return [(e, 1) for e in exps_of(ctx.n)]
 
     return build
@@ -409,6 +421,7 @@ def _quad(exps_of):
 
 def _deg5_sporadic(row: int):
     def build(ctx: FieldCtx, param=None):
+        _no_param(param)
         e3, e2, e1 = _deg5_rows()[row - 1]
         g = ctx.generator
         return [(5, 1), (3, ctx.pow(g, e3)), (2, ctx.pow(g, e2)), (1, ctx.pow(g, e1))]
@@ -528,8 +541,9 @@ def make_family(tag: str | FamilyId, ctx: FieldCtx, param: int | None = None) ->
     """The literal polynomial of the named family over ctx.
 
     Element parameters (alpha, omega) are the lexicographically smallest
-    admissible root unless overridden via param; inadmissible n is rejected
-    with the violated condition.
+    admissible root unless overridden via param, which must then be a root;
+    the degree-5 family rows take any nonzero param, and the other families
+    none.  Inadmissible n or param is rejected with the violated condition.
     """
     if isinstance(tag, FamilyId):
         if tag.n != ctx.n:

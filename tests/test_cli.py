@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -77,6 +78,21 @@ class TestFamily:
         assert code == 0
         assert json.loads(out)["poly"] == "x^5+0x5*x^3"
 
+    @pytest.mark.parametrize(
+        "family,n,param,message",
+        [
+            ("tri_I", "4", "0x0", "not a root of z^(2^2) + z + 1"),
+            ("tri_II", "6", "0x3", "not a root of z^2 + z + 1"),
+            ("quad_01", "5", "0x1", "no element parameter"),
+        ],
+        ids=["tri_I", "tri_II", "quad_01"],
+    )
+    def test_bad_param_is_usage_error(self, capsys, family, n, param, message):
+        code, out, err = run(capsys, "family", family, "--n", n, "--param", param)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestSearch:
     def test_json_report(self, capsys):
@@ -96,6 +112,22 @@ class TestSearch:
         assert code == 2
         assert "long-run" in err
 
+    def test_degree5_n7_needs_long(self, capsys, monkeypatch):
+        shards = []
+
+        def record(fn, shard_args):  # keeps the shard arguments, scans nothing
+            shards.extend(shard_args)
+            return [([], 0)] * len(shard_args)
+
+        monkeypatch.setattr(search, "_run_shards", record)
+        code, out, err = run(capsys, "search", "--shape", "degree5", "--n", "7", "--workers", "2")
+        assert code == 2 and out == ""
+        assert "long-run" in err
+        assert not shards
+        code, out, _ = run(capsys, "search", "--shape", "degree5", "--n", "7", "--long", "--workers", "2")
+        assert code == 0
+        assert [set(s[-1]) for s in shards] == [set(range(0, 128, 2)), set(range(1, 128, 2))]
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "search", "--shape", "trinomial", "--n", "4", "--workers", "1")
         assert code == 0
@@ -108,7 +140,7 @@ class TestSearch:
         assert out == ""
 
     def test_dead_worker_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(search, "_sparse_shard", _dying_shard)
+        monkeypatch.setattr(search, "_shard", _dying_shard)
         code, out, err = run(capsys, "search", "--shape", "binomial", "--n", "4", "--workers", "2")
         assert code == 2
         assert "error: a search worker process died" in err
@@ -245,6 +277,18 @@ class TestUsage:
         )
         assert proc.returncode == 2
         assert "invalid choice" in proc.stderr
+
+    def test_readme_cli_block_parses(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert commands and all(argv[0] == "gf2to1" for argv in commands)
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
     def test_unknown_document_kind(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from gf2to1.field import make_field
 from gf2to1.lowdeg import (
     FactorPattern,
+    _trace_table,
     cubic_has_unique_root,
     lemma_cubic_agreement,
     lemma_quadratic_agreement,
@@ -149,13 +150,25 @@ class TestAgreementEngines:
         rep = lemma_quartic_agreement(make_field(n))
         assert rep.ok and rep.checked == (2**n - 1) ** 2 * 2**n
 
-    def test_quartic_grouped_oracle_matches_single_triple_oracle(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_quartic_grouped_oracle_matches_single_triple_oracle(self, n):
         # the grouped divisor sweep inside the engine must agree with the
         # one-triple-at-a-time scan oracle
-        ctx = make_field(4)
+        ctx = make_field(n)
         for a2 in ctx.elements():
             for a1 in ctx.nonzero():
                 for a0 in ctx.nonzero():
                     assert quartic_pattern(ctx, a2, a1, a0) is quartic_pattern_scan(
                         ctx, a2, a1, a0
                     )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cubic_fused_criterion_matches_public_op(self, n):
+        # the engine's table-driven criterion must be cubic_has_unique_root, literally
+        ctx = make_field(n)
+        tr = _trace_table(ctx)
+        for a in ctx.elements():
+            cube_a = ctx.mul(ctx.sqr(a), a)
+            for b in ctx.nonzero():
+                fused = tr[ctx.mul(cube_a, ctx.inv(ctx.sqr(b))) ^ 1] != 0
+                assert fused == cubic_has_unique_root(ctx, a, b)

@@ -81,6 +81,15 @@ def per_hit_hits(ctx, shape, dedupe, raw):
     return tuple(Hit(p, len(qm_shape_orbit(p, pred))) for p in polys)
 
 
+# each shape's outer loop, from its template: a3 over GF(2^n), else k up to 2^n - 2
+OUTER = {
+    "degree5": lambda order: range(order),
+    "binomial": lambda order: range(3, order - 1),
+    "trinomial": lambda order: range(3, order - 1),
+    "quadrinomial": lambda order: range(4, order - 1),
+}
+
+
 class TestDegree5:
     def test_gf8_exact_structure(self):
         rep = search_degree5(F8)
@@ -111,16 +120,28 @@ class TestDegree5:
         assert keys == sorted(keys)
 
     def test_budget(self):
-        with pytest.raises(ValueError, match="n=7"):
-            search_degree5(make_field(8))
+        with pytest.raises(ValueError, match="long-run"):
+            search_degree5(make_field(7))
+        with pytest.raises(ValueError, match="capped at n=7"):
+            search_sparse(make_field(8), "degree5", long_run=True)
 
     @pytest.mark.parametrize("dedupe", ["none", "qm"])
-    @pytest.mark.parametrize("n", [2, 3])
+    def test_n_below_3_rejected(self, dedupe):
+        # on GF(4) x^5 = x^2, so the template is not a quintic there
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            search_degree5(make_field(2), dedupe=dedupe)
+
+    @pytest.mark.parametrize("dedupe", ["none", "qm"])
+    @pytest.mark.parametrize("n", [3])
     def test_orbit_sizes_match_per_hit_formula(self, n, dedupe):
-        # at n = 2 the raw quintics are unreduced and lie outside their own orbit
         ctx = make_field(n)
         raw = [h.poly.terms for h in search_degree5(ctx).hits]
         assert search_degree5(ctx, dedupe=dedupe).hits == per_hit_hits(ctx, "degree5", dedupe, raw)
+
+    def test_one_driver_for_both_entry_points(self):
+        assert report_to_json(search_sparse(F8, "degree5", "none"), include_timing=False) == (
+            report_to_json(search_degree5(F8), include_timing=False)
+        )
 
     def test_seven_element_families_are_single_classes(self):
         rep = search_degree5(F8, dedupe="qm")
@@ -199,28 +220,23 @@ class TestSparseSearches:
             search_degree5(F8, workers=workers)
 
 
-def _search(shape, ctx, workers, dedupe="none"):
-    if shape == "degree5":
-        return search_degree5(ctx, workers=workers, dedupe=dedupe)
-    return search_sparse(ctx, shape, dedupe=dedupe, workers=workers)
-
-
 class TestDeterminism:
     @pytest.mark.parametrize("dedupe", ["none", "qm"])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_worker_count_does_not_change_reports(self, shape, dedupe):
         ctx = make_field(3 if shape == "degree5" else 4)
-        reps = [_search(shape, ctx, w, dedupe) for w in (1, 2, 3)]
+        reps = [search_sparse(ctx, shape, dedupe, workers=w) for w in (1, 2, 3)]
         docs = {report_to_json(r, include_timing=False) for r in reps}
         assert len(docs) == 1
         assert len({r.candidates_scanned for r in reps}) == 1
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "n,shape", [(n, s) for n in (2, 3, 4, 5) for s in SHAPES if (n, s) != (2, "degree5")]
+    )
     def test_shards_partition_the_exponent_range(self, n, shape, monkeypatch):
         ctx = make_field(n)
         N = ctx.order - 1
-        scanned = set(range(ctx.order) if shape == "degree5" else range(2, N))
+        scanned = set(OUTER[shape](ctx.order))
         shards = []
 
         def record(fn, shard_args):  # keeps the exponent ranges, scans nothing
@@ -229,7 +245,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(search, "_run_shards", record)
         for workers in range(1, N + 2):
-            _search(shape, ctx, workers)
+            search_sparse(ctx, shape, "none", workers=workers)
             parts = shards.pop()
             assert len(parts) == min(workers, len(scanned))
             assert all(parts)
@@ -255,13 +271,23 @@ class TestDeterminism:
         monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
         a = search_sparse(F8, "binomial", workers=64)
         b = search_degree5(F8, workers=64)
-        assert sizes == [5, 8]  # exponents 2..6, a3 in GF(8)
+        assert sizes == [4, 8]  # exponents 3..6, a3 in GF(8)
         assert report_to_json(a, include_timing=False) == report_to_json(
             search_sparse(F8, "binomial"), include_timing=False
         )
         assert report_to_json(b, include_timing=False) == report_to_json(
             search_degree5(F8), include_timing=False
         )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_shard_scans_a_candidate(self, n, shape):
+        ctx = make_field(n)
+        outer = OUTER[shape](ctx.order)
+        for workers in range(1, len(outer) + 1):
+            for stride in search._strides(outer.start, outer.stop, workers):
+                _, scanned = search._shard((n, ctx.modulus, shape, "qm", stride))
+                assert scanned > 0, (workers, stride)
 
 
 class TestTableComparison:

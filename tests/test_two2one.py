@@ -406,6 +406,8 @@ class TestFamilies:
             assert alpha_roots(ctx, m) == scan
 
     def test_all_parameter_roots_give_two_to_one(self):
+        for a in alpha_roots(F16, 2):
+            assert is_two_to_one(make_family("tri_I", F16, param=a))
         ctx = make_field(6)
         roots = alpha_roots(ctx, 3)
         assert len(roots) == 8
