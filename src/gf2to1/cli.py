@@ -151,8 +151,8 @@ def _cmd_search(args) -> int:
     else:
         _emit(
             f"search {report.shape} over {ctx.label()} dedupe={report.dedupe}: "
-            f"{len(report.hits)} hits, {report.candidates_scanned} candidates, "
-            f"{report.elapsed_ms} ms"
+            f"{len(report.hits)} hits, {report.candidates_scanned} candidates "
+            f"({report.sieve_rejected} rejected by the fiber sieve), {report.elapsed_ms} ms"
         )
         for h in report.hits:
             _emit(f"  {h.poly}  (orbit {h.orbit_size})")

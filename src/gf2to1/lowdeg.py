@@ -4,6 +4,8 @@ and quartic equations over GF(2^n).
 Each trace-based criterion is paired with a brute-force scan oracle; the
 ``lemma_*_agreement`` engines run the criterion against the oracle over the
 whole input space and are what the CLI ``lemma`` subcommand reports on.
+An engine whose input space exceeds LEMMA_MAX_INPUTS raises ValueError before
+it checks anything.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .field import FieldCtx
 from .poly import DensePoly
 
 ROOT_SCAN_MAX_N = 20
+LEMMA_MAX_INPUTS = 1 << 24  # n <= 12 for the quadratic and cubic engines, n <= 8 for the quartic
 
 __all__ = [
     "FactorPattern",
@@ -28,6 +31,7 @@ __all__ = [
     "lemma_cubic_agreement",
     "lemma_quartic_agreement",
     "AgreementReport",
+    "LEMMA_MAX_INPUTS",
 ]
 
 
@@ -218,6 +222,15 @@ class AgreementReport:
         return not self.mismatches
 
 
+def _check_input_cap(which: str, ctx: FieldCtx, inputs: int) -> None:
+    """Reject up front an engine run that would check more than LEMMA_MAX_INPUTS inputs."""
+    if inputs > LEMMA_MAX_INPUTS:
+        raise ValueError(
+            f"the {which} lemma engine checks at most LEMMA_MAX_INPUTS = {LEMMA_MAX_INPUTS} inputs; "
+            f"n={ctx.n} would need {inputs}"
+        )
+
+
 def _value_histogram(ctx: FieldCtx, values) -> list[int]:
     hist = [0] * ctx.order
     for v in values:
@@ -231,6 +244,7 @@ def _trace_table(ctx: FieldCtx) -> list[int]:
 
 def lemma_quadratic_agreement(ctx: FieldCtx) -> AgreementReport:
     """quadratic_solutions vs a grouped root scan, over every (u != 0, v)."""
+    _check_input_cap("quadratic", ctx, (ctx.order - 1) * ctx.order)
     mismatches = []
     checked = 0
     for u in ctx.nonzero():
@@ -252,6 +266,7 @@ def lemma_cubic_agreement(ctx: FieldCtx) -> AgreementReport:
     inverse-square and trace tables; the oracle is the value histogram of
     x^3 + ax.
     """
+    _check_input_cap("cubic", ctx, ctx.order * (ctx.order - 1))
     mismatches = []
     checked = 0
     tr = _trace_table(ctx)
@@ -279,6 +294,7 @@ def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
     quadratic sweep v -> (u^2 + a2) v + v^2 -- the same divisibility test
     quartic_pattern_scan applies one triple at a time.
     """
+    _check_input_cap("quartic", ctx, ctx.order * (ctx.order - 1) ** 2)
     mismatches = []
     checked = 0
     tr = _trace_table(ctx)

@@ -11,6 +11,19 @@ the cost of a k grows with k, so the strides carry about equal work.  Partial
 hit lists are merged and globally sorted, so a report is byte-identical for
 any worker count.  Every shape is capped at n <= SEARCH_MAX_N, or
 SEARCH_LONG_MAX_N with the long-run flag.
+
+The trinomial and degree-5 templates read f = h + alpha*x, with h the rest of
+the template (x^k + beta*x^l, or x^5 + a3*x^3 + a2*x^2) and h(0) = 0.  For a
+point x0, y != x0 lies in the fiber of x0 exactly when
+D(y) = (h(y) + h(x0))/(y + x0) = alpha, and a 2-to-1 f has a fiber of exactly
+two points through every x0.  So alpha survives x0 only if D takes the value
+alpha exactly once, and one pass over y decides this for every alpha at once.
+The fiber sieve runs that pass at x0 = 0, 1 and g, and only the alphas that
+survive all three go to the fiber kernel; a rejected alpha cannot be a hit, so
+the reports are those of the kernel alone.  Every candidate still counts as
+scanned, and the report's sieve_rejected says how many the sieve decided.
+Binomials (alpha on x^l) and quadrinomials (no free coefficient) run the
+kernel on every candidate.
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ import json
 import math
 import multiprocessing as mp
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -78,6 +92,7 @@ class SearchReport:
     candidates_scanned: int
     elapsed_ms: int
     notes: tuple[str, ...] = ()
+    sieve_rejected: int = 0  # candidates the fiber sieve decided without the kernel
 
     def hit_polys(self) -> list[SparsePoly]:
         return [h.poly for h in self.hits]
@@ -178,7 +193,7 @@ def _coeff_reps_binomial(P: list[int], k: int, l: int, dedupe: str):
 
 
 def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
-    """(beta, alpha) orbit representatives under monic rescaling.
+    """(beta, [alpha, ...]) groups of orbit representatives under monic rescaling.
 
     Rescaling by b maps (beta, alpha) to (beta*b^(l-k), alpha*b^(1-k)); in
     exponent coordinates the orbit is (B, A) + j*(p, q) mod N, so unique
@@ -187,35 +202,78 @@ def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
     """
     N = len(P)
     if dedupe != "qm":
-        return [(b, a) for b in range(1, N + 1) for a in range(1, N + 1)]
+        alphas = range(1, N + 1)
+        return [(b, alphas) for b in range(1, N + 1)]
     p = (l - k) % N
     q = (1 - k) % N
     u = math.gcd(p, N)
     s = (N // u) * q % N
     w = math.gcd(s, N) if s else N
-    return [(P[B], P[A]) for B in range(u) for A in range(w)]
+    return [(P[B], P[:w]) for B in range(u)]
 
 
-def _shard(args) -> tuple[list[tuple], int]:
+def _fiber_sieve(P: list[int]):
+    """sieve(H, alphas): the alphas for which h + alpha*x has a fiber of exactly
+    two points through each of x0 = 0, g^0 and g^1, where H[i] = h(g^i) and
+    h(0) = 0.
+
+    y != x0 lies in the fiber of x0 exactly when D(y) = (h(y) + h(x0))/(y + x0)
+    equals alpha, so the fiber has two points exactly when D takes the value
+    alpha once over y != x0.  A 2-to-1 map passes at every x0, so a rejected
+    alpha is never a hit.  Each quotient is one EXP[LOG[.] + d] lookup with
+    d = -log(y + x0) precomputed per point; LOG[0] points into a run of zeros
+    at the end of EXP, so a zero numerator needs no branch.
+    """
+    N = len(P)
+    EXP = P + P + [0] * (N + 1)
+    LOG = [2 * N] * (N + 1)
+    for i, v in enumerate(P):
+        LOG[v] = i
+    # (index j of x0 = g^j in H, or None for x0 = 0; -log(y + x0) for y = g^i,
+    # with y = 0 in place of y = x0 at slot j)
+    points = [(None, [N - i for i in range(N)])]
+    points += [(j, [N - LOG[P[i] ^ P[j]] if i != j else N - j for i in range(N)]) for j in (0, 1)]
+
+    def sieve(H: list[int], alphas):
+        for j, neg in points:
+            hx = 0 if j is None else H[j]
+            counts = Counter([EXP[LOG[v ^ hx] + d] for v, d in zip(H, neg)])
+            if j is not None:  # slot j counted y = x0 as a 0; its value is y = 0's
+                counts[0] -= 1
+                counts[EXP[LOG[hx] + neg[j]]] += 1
+            alphas = [a for a in alphas if counts[a] == 1]
+            if not alphas:
+                break
+        return alphas
+
+    return sieve
+
+
+def _shard(args) -> tuple[list[tuple], int, int]:
+    """(hits, candidates scanned, candidates the fiber sieve rejected) for one
+    stride of a shape's outer loop."""
     n, modulus, shape, dedupe, outer = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
     P = ctx.powers()
     hits: list[tuple] = []
-    scanned = 0
+    scanned = rejected = 0
     if shape == "degree5":
         A5 = _power_array(P, 5)
         A3 = _power_array(P, 3)
         A2 = _power_array(P, 2)
         tg = ctx.mul_table(ctx.generator)
+        sieve = _fiber_sieve(P)
         for a3 in outer:
             T3 = ctx.mul_table(a3)
             for a2 in range(order):
                 T2 = ctx.mul_table(a2)
                 W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
-                for a1 in range(order):
-                    scanned += 1
+                survivors = sieve(W, range(order))
+                scanned += order
+                rejected += order - len(survivors)
+                for a1 in survivors:
                     if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
                         hits.append(tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]))
     elif shape == "binomial":
@@ -232,17 +290,23 @@ def _shard(args) -> tuple[list[tuple], int]:
                         hits.append(((k, 1), (l, alpha)))
     elif shape == "trinomial":
         tg = ctx.mul_table(ctx.generator)
+        sieve = _fiber_sieve(P)
         for k in outer:
             AK = _power_array(P, k)
             k_pow2 = _is_pow2(k)
             for l in range(2, k):
                 if k_pow2 and _is_pow2(l):
                     continue  # linearized shapes are excluded from the template
-                TL = ctx.mul_table(P[l])
-                for beta, alpha in _coeff_reps_trinomial(P, k, l, dedupe):
-                    scanned += 1
-                    if fibers_two_to_one(order, 0, AK, beta, TL, alpha, tg):
-                        hits.append(((k, 1), (l, beta), (1, alpha)))
+                AL = _power_array(P, l)
+                for beta, alphas in _coeff_reps_trinomial(P, k, l, dedupe):
+                    TB = ctx.mul_table(beta)
+                    H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + beta*x^l
+                    survivors = sieve(H, alphas)
+                    scanned += len(alphas)
+                    rejected += len(alphas) - len(survivors)
+                    for alpha in survivors:
+                        if fibers_two_to_one(order, 0, H, alpha, tg, 0, (0,)):
+                            hits.append(((k, 1), (l, beta), (1, alpha)))
     else:  # quadrinomial
         tabs = [ctx.mul_table(P[e]) for e in range(N - 1)]
         for k in outer:
@@ -253,7 +317,7 @@ def _shard(args) -> tuple[list[tuple], int]:
                     scanned += 1
                     if fibers_two_to_one(order, 0, base, 1, tabs[l], 1, tabs[d]):
                         hits.append(((k, 1), (l, 1), (d, 1), (1, 1)))
-    return hits, scanned
+    return hits, scanned, rejected
 
 
 def _strides(lo: int, hi: int, workers: int) -> list[range]:
@@ -285,6 +349,7 @@ def _finalize(
     scanned: int,
     t0: float,
     notes: tuple[str, ...] = (),
+    sieve_rejected: int = 0,
 ) -> SearchReport:
     """One canonical and one shape-orbit walk per class: each orbit member maps
     to the class's canonical Hit."""
@@ -301,7 +366,7 @@ def _finalize(
         chosen = [Hit(SparsePoly(ctx, t), classes[t].orbit_size) for t in raw_terms]
     hits = tuple(sorted(chosen, key=lambda h: h.poly.sort_key()))
     elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return SearchReport(ctx, shape, dedupe, hits, scanned, elapsed_ms, notes)
+    return SearchReport(ctx, shape, dedupe, hits, scanned, elapsed_ms, notes, sieve_rejected)
 
 
 def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int) -> SearchReport:
@@ -326,20 +391,23 @@ def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int
         for outer in _strides(SHAPES[shape], hi, workers)
     ]
     raw: list[tuple] = []
-    scanned = 0
-    for hits, cnt in _run_shards(_shard, shards):
+    scanned = rejected = 0
+    for hits, cnt, rej in _run_shards(_shard, shards):
         raw.extend(hits)
         scanned += cnt
+        rejected += rej
     notes = ()
     if shape == "degree5" and ctx.n != 3:
         notes = (f"no bundled reference table covers degree5 hits at n={ctx.n}; new data",)
-    return _finalize(ctx, shape, dedupe, raw, scanned, t0, notes)
+    return _finalize(ctx, shape, dedupe, raw, scanned, t0, notes, rejected)
 
 
 def search_degree5(ctx: FieldCtx, workers: int = 1, dedupe: str = "none") -> SearchReport:
     """All (a3, a2, a1) whose normalized quintic x^5+a3x^3+a2x^2+a1x is 2-to-1.
 
-    Cost 2^(3n) candidates with early exit, for 3 <= n <= SEARCH_MAX_N; the
+    Cost 2^(3n) candidates, the a1 of each (a3, a2) decided together by the
+    fiber sieve and its survivors by the early-exit kernel, for
+    3 <= n <= SEARCH_MAX_N; the
     n = SEARCH_LONG_MAX_N run goes through search_sparse with long_run=True.
     The raw triple list (dedupe="none") is the reference-table form.
     """
@@ -507,8 +575,9 @@ def report_to_dict(report: SearchReport, include_timing: bool = True) -> dict:
         ],
         "scanned": report.candidates_scanned,
     }
-    if include_timing:
+    if include_timing:  # run statistics, never in tables documents
         doc["elapsed_ms"] = report.elapsed_ms
+        doc["sieve_rejected"] = report.sieve_rejected
     if report.notes:
         doc["notes"] = list(report.notes)
     return doc
@@ -534,6 +603,7 @@ def report_from_json(text: str) -> SearchReport:
         int(doc["scanned"]),
         int(doc.get("elapsed_ms", 0)),
         tuple(doc.get("notes", ())),
+        int(doc.get("sieve_rejected", 0)),
     )
 
 

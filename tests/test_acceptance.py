@@ -266,10 +266,9 @@ def test_criterion_08_degree5_desk_scale(degree5_n3):
     for n in (4, 5, 6):
         rep = search_degree5(make_field(n), workers=WORKERS)
         assert rep.candidates_scanned == 2 ** (3 * n)
-        for h in rep.hits:
-            assert is_two_to_one(h.poly)
+        assert not rep.hits  # the Hasse-Weil point-count bound is non-vacuous from n = 4 on
     assert compare_with_table(degree5_n3, "I").ok
-    _ok("criterion 8 (degree-5 searches complete at n=4,5,6; n=3 matches the table)")
+    _ok("criterion 8 (degree-5 searches complete at n=4,5,6 with no hits; n=3 matches the table)")
 
 
 # -- criterion 9 -------------------------------------------------------------

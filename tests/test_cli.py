@@ -117,7 +117,7 @@ class TestSearch:
 
         def record(fn, shard_args):  # keeps the shard arguments, scans nothing
             shards.extend(shard_args)
-            return [([], 0)] * len(shard_args)
+            return [([], 0, 0)] * len(shard_args)
 
         monkeypatch.setattr(search, "_run_shards", record)
         code, out, err = run(capsys, "search", "--shape", "degree5", "--n", "7", "--workers", "2")
@@ -132,6 +132,8 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--shape", "trinomial", "--n", "4", "--workers", "1")
         assert code == 0
         assert "2 hits" in out
+        rep = search.search_sparse(make_field(4), "trinomial")
+        assert f"{rep.candidates_scanned} candidates ({rep.sieve_rejected} rejected by the fiber sieve)" in out
 
     def test_zero_workers_usage_error(self, capsys):
         code, out, err = run(capsys, "search", "--shape", "binomial", "--n", "3", "--workers", "0")
@@ -243,6 +245,13 @@ class TestLemma:
         assert code == 0
         doc = parse_document(out)
         assert doc["ok"] is True and doc["checked"] > 0
+
+    @pytest.mark.parametrize("which,n", [("2.4", 13), ("2.5", 13), ("2.6", 9), ("2.6", 30)])
+    def test_input_cap(self, capsys, which, n):
+        # the largest n under the cap are 12 for 2.4 and 2.5, 8 for 2.6
+        code, out, err = run(capsys, "lemma", "--which", which, "--n", str(n))
+        assert code == 2 and out == ""
+        assert "at most LEMMA_MAX_INPUTS = 16777216 inputs" in err
 
 
 class TestFormatEnv:

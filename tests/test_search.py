@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -143,6 +144,11 @@ class TestDegree5:
             report_to_json(search_degree5(F8), include_timing=False)
         )
 
+    @pytest.mark.long
+    def test_no_hits_at_n7(self):
+        rep = search_sparse(make_field(7), "degree5", "none", long_run=True, workers=2)
+        assert not rep.hits and rep.candidates_scanned == 2**21
+
     def test_seven_element_families_are_single_classes(self):
         rep = search_degree5(F8, dedupe="qm")
         # 21 sporadic = 3 classes of 7, plus one class per free-coefficient family
@@ -241,7 +247,7 @@ class TestDeterminism:
 
         def record(fn, shard_args):  # keeps the exponent ranges, scans nothing
             shards.append([set(a[-1]) for a in shard_args])
-            return [([], 0)] * len(shard_args)
+            return [([], 0, 0)] * len(shard_args)
 
         monkeypatch.setattr(search, "_run_shards", record)
         for workers in range(1, N + 2):
@@ -286,8 +292,90 @@ class TestDeterminism:
         outer = OUTER[shape](ctx.order)
         for workers in range(1, len(outer) + 1):
             for stride in search._strides(outer.start, outer.stop, workers):
-                _, scanned = search._shard((n, ctx.modulus, shape, "qm", stride))
+                _, scanned, _ = search._shard((n, ctx.modulus, shape, "qm", stride))
                 assert scanned > 0, (workers, stride)
+
+
+def literal_sieve(ctx, terms):
+    """The alphas for which h + alpha*x, h the sum of c*x^e over terms, has a
+    fiber of exactly two points through each of 0, 1 and the generator:
+    fibers counted literally with ctx.mul and ctx.pow."""
+
+    def f(y, alpha):
+        v = ctx.mul(alpha, y)
+        for e, c in terms:
+            v ^= ctx.mul(c, ctx.pow(y, e))
+        return v
+
+    points = (0, 1, ctx.generator)
+    return {
+        alpha
+        for alpha in ctx.elements()
+        if all(sum(f(y, alpha) == f(x0, alpha) for y in ctx.elements()) == 2 for x0 in points)
+    }
+
+
+# (shape, dedupe, n) of the searches checked against the kernel-only scan
+SIEVE_CASES = [
+    *(("degree5", dedupe, n) for dedupe in ("none", "qm") for n in (3, 4)),
+    *(("trinomial", "qm", n) for n in (3, 4, 5, 6)),
+    *(("trinomial", "none", n) for n in (3, 4, 5)),
+]
+
+
+class TestFiberSieve:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_literal_fiber_count(self, n):
+        ctx = make_field(n)
+        rng = random.Random(n)
+        N = ctx.order - 1
+        cases = [[(2, 1)], [(5, 1), (3, 1)]]  # x^2 + alpha*x is 2-to-1 for every alpha != 0
+        cases += [
+            [(rng.randrange(2, N + 1), rng.randrange(1, ctx.order)) for _ in range(rng.randrange(1, 4))]
+            for _ in range(12)
+        ]
+        sieve = search._fiber_sieve(ctx.powers())
+        survived = 0
+        for terms in cases:
+            H = [0] * N
+            for i in range(N):
+                y = ctx.pow(ctx.generator, i)
+                for e, c in terms:
+                    H[i] ^= ctx.mul(c, ctx.pow(y, e))
+            got = sieve(H, list(ctx.elements()))
+            assert len(got) == len(set(got))
+            assert set(got) == literal_sieve(ctx, terms), terms
+            survived += bool(got)
+        assert 0 < survived < len(cases)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape,dedupe,n", SIEVE_CASES)
+    def test_reports_match_the_kernel_only_scan(self, shape, dedupe, n, workers, monkeypatch):
+        ctx = make_field(n)
+        sieved = search_sparse(ctx, shape, dedupe, workers=workers)
+        monkeypatch.setattr(search, "_fiber_sieve", lambda P: lambda H, alphas: alphas)
+        plain = search_sparse(ctx, shape, dedupe, workers=workers)
+        assert report_to_json(sieved, include_timing=False) == report_to_json(plain, include_timing=False)
+        assert sieved.candidates_scanned == plain.candidates_scanned
+        assert plain.sieve_rejected == 0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rejection_count(self, shape):
+        ctx = make_field(4)
+        reps = [search_sparse(ctx, shape, "qm", workers=w) for w in (1, 2)]
+        assert reps[0].sieve_rejected == reps[1].sieve_rejected <= reps[0].candidates_scanned
+        if shape in ("degree5", "trinomial"):
+            assert reps[0].sieve_rejected > 0
+        else:  # binomials and quadrinomials run the kernel on every candidate
+            assert reps[0].sieve_rejected == 0
+
+    def test_rejection_count_is_run_statistics(self):
+        rep = search_sparse(F16, "trinomial", "qm")
+        doc = json.loads(report_to_json(rep))
+        assert doc["sieve_rejected"] == rep.sieve_rejected
+        assert report_from_json(report_to_json(rep)).sieve_rejected == rep.sieve_rejected
+        assert "sieve_rejected" not in report_to_json(rep, include_timing=False)
+        assert report_from_json(report_to_json(rep, include_timing=False)).sieve_rejected == 0
 
 
 class TestTableComparison:
