@@ -4,6 +4,8 @@ elimination-identity checks and reference-table reproduction.
 Exit codes: 0 success / empty diff, 1 mathematical mismatch, 2 usage error.
 Documents go to stdout, diagnostics to stderr.  The default output format is
 text; GF2TO1_FORMAT overrides the default, an explicit --format always wins.
+Every subcommand writes text and json; only search writes csv, and a csv
+default from GF2TO1_FORMAT gives text elsewhere.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-FORMATS = ("text", "json", "csv")
+FORMATS = ("text", "json", "csv")  # csv is for search reports only
 
 
 def _default_format() -> str:
@@ -291,10 +293,10 @@ def _cmd_lemma(args) -> int:
 # parser
 
 
-def _add_field_args(p) -> None:
+def _add_field_args(p, formats=FORMATS[:2]) -> None:
     p.add_argument("--n", type=int, required=True, help="extension degree of GF(2^n)")
     p.add_argument("--modulus", help="irreducible modulus bits as hex (default: smallest)")
-    p.add_argument("--format", choices=FORMATS, help="output format (default from GF2TO1_FORMAT or text)")
+    p.add_argument("--format", choices=formats, help="output format (default from GF2TO1_FORMAT or text)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dedupe", choices=("qm", "none"), default=None)
     c.add_argument("--long", action="store_true", help=f"allow the n={SEARCH_LONG_MAX_N} budget")
     c.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    _add_field_args(c)
+    _add_field_args(c, FORMATS)
     c.set_defaults(fn=_cmd_search)
 
     c = sub.add_parser("tables", help="reproduce a bundled reference table and diff")
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--long", action="store_true", help=f"include the n={SEARCH_LONG_MAX_N} searches")
     c.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    c.add_argument("--format", choices=FORMATS)
+    c.add_argument("--format", choices=FORMATS[:2])
     c.set_defaults(fn=_cmd_tables)
 
     c = sub.add_parser("resultant", help="pointwise check of a pinned elimination identity")

@@ -16,14 +16,18 @@ from __future__ import annotations
 
 MIN_DEGREE = 2
 MAX_DEGREE = 32
-# Fields up to this degree keep log/antilog tables, about 320 KB at n = 12
-# (n = 17 would need about 9 MB); it covers every field the lemmas, the
-# identities, the point counts and the searches use.
+# Fields up to this degree keep log/antilog tables, about 380 KB at n = 12
+# (n = 17 would need about 11 MB); it covers every field the lemmas, the
+# identities, the point counts, the searches and QM classing use.
 LOG_TABLE_MAX_N = 12
+# mul_table returns a list of 2^n entries up to this degree and an object that
+# multiplies on each lookup above it.
+MUL_TABLE_MAX_N = 18
 
 __all__ = [
     "FieldCtx",
     "LOG_TABLE_MAX_N",
+    "MUL_TABLE_MAX_N",
     "linear_table",
     "make_field",
     "field_from_label",
@@ -40,6 +44,8 @@ __all__ = [
 
 
 def p2_degree(a: int) -> int:
+    if a < 0:  # bit_length ignores the sign, and p2_mod never ends on a negative int
+        raise ValueError(f"modulus {a:#x} is negative; a polynomial is encoded by its bits, >= 0")
     return a.bit_length() - 1
 
 
@@ -48,16 +54,6 @@ def p2_mod(a: int, m: int) -> int:
     while a.bit_length() >= dm:
         a ^= m << (a.bit_length() - dm)
     return a
-
-
-def p2_mulmod(a: int, b: int, m: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return p2_mod(r, m)
 
 
 def p2_gcd(a: int, b: int) -> int:
@@ -76,9 +72,9 @@ def irreducible_factor_degree(m: int) -> int | None:
     n = p2_degree(m)
     if n < 1:
         return 0
-    t = 2  # the polynomial x
+    t = 2  # the polynomial x, reduced since n >= 2 whenever the loop runs
     for d in range(1, n // 2 + 1):
-        t = p2_mulmod(t, t, m)
+        t = _mul_bits(t, t, m, 1 << n)
         if p2_gcd(m, t ^ 2) != 1:
             return d
     return None
@@ -145,12 +141,12 @@ def linear_table(images: list[int]) -> list[int]:
 class FieldCtx:
     """An instance of GF(2^n): extension degree, modulus bits and the generator they determine.
 
-    Up to LOG_TABLE_MAX_N the context keeps an antilog table EXP (g^0 .. g^(N-1),
-    twice, N = 2^n - 1, so an index sum below 2N needs no reduction) and a LOG
-    table, and mul, sqr, pow, inv, frobenius and sqrt are lookups.  Above the
-    cap they run the shift-and-xor loop.  The tables and the trace mask are
-    built on first use, so a context that is only built, compared or labelled
-    costs what it did without them; they are not part of the field's identity.
+    Up to LOG_TABLE_MAX_N the context keeps the discrete-log pair that
+    log_tables() returns, and mul, sqr, pow, inv, frobenius and sqrt are
+    lookups.  Above the cap they run the shift-and-xor loop.  The tables and
+    the trace mask are built on first use, so a context that is only built,
+    compared or labelled costs what it did without them; they are not part
+    of the field's identity.
     """
 
     __slots__ = ("n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_tmask")
@@ -185,13 +181,35 @@ class FieldCtx:
     def _tables(self) -> list[int] | None:
         """The LOG table, with EXP beside it, built on first use; None above the cap."""
         if self._log is None and self.n <= LOG_TABLE_MAX_N:
-            exp = self._walk_powers()
-            log = [0] * self.order  # log[0] is never read: every lookup sets 0 aside first
-            for i, v in enumerate(exp):
+            # the walk steps by mul_table(generator), built on _mul_bits because
+            # mul_table reads the tables being built here
+            m, top = self.modulus, self.order
+            N = top - 1
+            step = linear_table([_mul_bits(self.generator, 1 << b, m, top) for b in range(self.n)])
+            powers = [1] * N
+            for i in range(1, N):
+                powers[i] = step[powers[i - 1]]
+            log = [2 * N] * top  # log[0] = 2N: the start of the zero run
+            for i, v in enumerate(powers):
                 log[v] = i
-            self._exp = exp + exp
+            self._exp = powers + powers + [0] * (2 * N + 1)
             self._log = log
         return self._log
+
+    def log_tables(self) -> tuple[list[int], list[int]]:
+        """The antilog and log tables (EXP, LOG) for n <= LOG_TABLE_MAX_N.
+
+        EXP holds g^0 .. g^(N-1) twice, N = 2^n - 1, then a run of 2N + 1
+        zeros; LOG[g^i] = i and LOG[0] = 2N.  So EXP[LOG[a] + LOG[b]] = a*b
+        for every a and b, zero included, and EXP[:N] is the power walk of
+        the generator.  Both lists are the context's own: read, never write.
+        Raises ValueError above the cap.
+        """
+        if self._tables() is None:
+            raise ValueError(
+                f"log/antilog tables are kept up to n={LOG_TABLE_MAX_N} (LOG_TABLE_MAX_N), got n={self.n}"
+            )
+        return self._exp, self._log
 
     def _trace_mask(self) -> int:
         """Bit b is the trace of 2^b; the trace is GF(2)-linear, so these n bits fix it."""
@@ -206,16 +224,6 @@ class FieldCtx:
         self._tmask = mask
         return mask
 
-    def _walk_powers(self) -> list[int]:
-        # the step table is mul_table(generator), built on _mul_bits because the
-        # tables that mul reads are built from this walk
-        m, top = self.modulus, self.order
-        step = linear_table([_mul_bits(self.generator, 1 << b, m, top) for b in range(self.n)])
-        P = [1] * (top - 1)
-        for i in range(1, len(P)):
-            P[i] = step[P[i - 1]]
-        return P
-
     # -- core arithmetic ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -223,15 +231,13 @@ class FieldCtx:
         L = self._log or self._tables()
         if L is None:
             return _mul_bits(a, b, self.modulus, self.order)
-        if a and b:
-            return self._exp[L[a] + L[b]]
-        return 0
+        return self._exp[L[a] + L[b]]
 
     def sqr(self, a: int) -> int:
         L = self._log or self._tables()
         if L is None:
             return _mul_bits(a, a, self.modulus, self.order)
-        return self._exp[2 * L[a]] if a else 0
+        return self._exp[2 * L[a]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -314,20 +320,14 @@ class FieldCtx:
     def nonzero(self) -> range:
         return range(1, self.order)
 
-    def mul_table(self, c: int) -> list[int]:
-        """Lookup table T with T[x] = c*x: multiplication by a fixed element is
-        GF(2)-linear, so T is the linear_table of the n basis products.
-        Intended for hot loops at moderate n; memory is order * wordsize.
+    def mul_table(self, c: int):
+        """T with T[x] = c*x.  Up to MUL_TABLE_MAX_N a list: multiplication by a
+        fixed element is GF(2)-linear, so T is the linear_table of the n basis
+        products.  Above the cap an object that multiplies on each lookup.
         """
+        if self.n > MUL_TABLE_MAX_N:
+            return _MulBy(self, c)
         return linear_table([self.mul(c, 1 << b) for b in range(self.n)])
-
-    def powers(self) -> list[int]:
-        """The power table [g^0, g^1, ..., g^(N-1)], N = 2^n - 1: the one source of
-        power sequences and discrete logs.  A fresh list each call: a copy of the
-        antilog table up to LOG_TABLE_MAX_N, an O(N) walk above it."""
-        if self._tables() is None:
-            return self._walk_powers()
-        return self._exp[: self.order - 1]
 
     # -- identity and serialization -------------------------------------------
 
@@ -342,6 +342,14 @@ class FieldCtx:
 
     def __hash__(self) -> int:
         return hash((self.n, self.modulus))
+
+
+class _MulBy:
+    def __init__(self, ctx: FieldCtx, c: int):
+        self.mul, self.c = ctx.mul, c
+
+    def __getitem__(self, x: int) -> int:
+        return self.mul(x, self.c)
 
 
 def make_field(n: int, modulus: int | None = None) -> FieldCtx:

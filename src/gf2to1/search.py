@@ -177,22 +177,20 @@ def shape_predicate(shape: str, order: int):
 # worker internals
 
 
-def _power_array(P: list[int], e: int) -> list[int]:
-    """[x^e for x = g^i], read from the power table P = ctx.powers()."""
-    N = len(P)
-    return [P[i * e % N] for i in range(N)]
+def _power_array(EXP: list[int], N: int, e: int) -> list[int]:
+    """[x^e for x = g^i], read from the antilog table EXP of FieldCtx.log_tables()."""
+    return [EXP[i * e % N] for i in range(N)]
 
 
-def _coeff_reps_binomial(P: list[int], k: int, l: int, dedupe: str):
+def _coeff_reps_binomial(EXP: list[int], N: int, k: int, l: int, dedupe: str):
     """One alpha per scaling orbit: monic rescaling sends alpha to
     alpha*b^(l-k), so representatives are g^A with A below gcd(k-l, 2^n-1)."""
-    N = len(P)
     if dedupe != "qm":
         return range(1, N + 1)
-    return P[: math.gcd(k - l, N)]
+    return EXP[: math.gcd(k - l, N)]
 
 
-def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
+def _coeff_reps_trinomial(EXP: list[int], N: int, k: int, l: int, dedupe: str):
     """(beta, [alpha, ...]) groups of orbit representatives under monic rescaling.
 
     Rescaling by b maps (beta, alpha) to (beta*b^(l-k), alpha*b^(1-k)); in
@@ -200,7 +198,6 @@ def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
     representatives are B below u = gcd(p, N) and, for the residual
     stabilizer j in (N/u)Z, A below gcd((N/u)*q, N).
     """
-    N = len(P)
     if dedupe != "qm":
         alphas = range(1, N + 1)
         return [(b, alphas) for b in range(1, N + 1)]
@@ -209,10 +206,10 @@ def _coeff_reps_trinomial(P: list[int], k: int, l: int, dedupe: str):
     u = math.gcd(p, N)
     s = (N // u) * q % N
     w = math.gcd(s, N) if s else N
-    return [(P[B], P[:w]) for B in range(u)]
+    return [(EXP[B], EXP[:w]) for B in range(u)]
 
 
-def _fiber_sieve(P: list[int]):
+def _fiber_sieve(ctx: FieldCtx):
     """sieve(H, alphas): the alphas for which h + alpha*x has a fiber of exactly
     two points through each of x0 = 0, g^0 and g^1, where H[i] = h(g^i) and
     h(0) = 0.
@@ -220,19 +217,16 @@ def _fiber_sieve(P: list[int]):
     y != x0 lies in the fiber of x0 exactly when D(y) = (h(y) + h(x0))/(y + x0)
     equals alpha, so the fiber has two points exactly when D takes the value
     alpha once over y != x0.  A 2-to-1 map passes at every x0, so a rejected
-    alpha is never a hit.  Each quotient is one EXP[LOG[.] + d] lookup with
-    d = -log(y + x0) precomputed per point; LOG[0] points into a run of zeros
-    at the end of EXP, so a zero numerator needs no branch.
+    alpha is never a hit.  Each quotient is one EXP[LOG[.] + d] lookup in the
+    tables of FieldCtx.log_tables(), with d = -log(y + x0) precomputed per
+    point; their layout makes a zero numerator a zero quotient.
     """
-    N = len(P)
-    EXP = P + P + [0] * (N + 1)
-    LOG = [2 * N] * (N + 1)
-    for i, v in enumerate(P):
-        LOG[v] = i
+    EXP, LOG = ctx.log_tables()
+    N = ctx.order - 1
     # (index j of x0 = g^j in H, or None for x0 = 0; -log(y + x0) for y = g^i,
     # with y = 0 in place of y = x0 at slot j)
     points = [(None, [N - i for i in range(N)])]
-    points += [(j, [N - LOG[P[i] ^ P[j]] if i != j else N - j for i in range(N)]) for j in (0, 1)]
+    points += [(j, [N - LOG[EXP[i] ^ EXP[j]] if i != j else N - j for i in range(N)]) for j in (0, 1)]
 
     def sieve(H: list[int], alphas):
         for j, neg in points:
@@ -256,15 +250,15 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
-    P = ctx.powers()
+    EXP = ctx.log_tables()[0]
     hits: list[tuple] = []
     scanned = rejected = 0
     if shape == "degree5":
-        A5 = _power_array(P, 5)
-        A3 = _power_array(P, 3)
-        A2 = _power_array(P, 2)
+        A5 = _power_array(EXP, N, 5)
+        A3 = _power_array(EXP, N, 3)
+        A2 = _power_array(EXP, N, 2)
         tg = ctx.mul_table(ctx.generator)
-        sieve = _fiber_sieve(P)
+        sieve = _fiber_sieve(ctx)
         for a3 in outer:
             T3 = ctx.mul_table(a3)
             for a2 in range(order):
@@ -279,26 +273,26 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     elif shape == "binomial":
         pow2 = _pow2_residues(N)
         for k in outer:
-            AK = _power_array(P, k)
+            AK = _power_array(EXP, N, k)
             for l in range(1, k):
                 if _binomial_is_linearized_class(k, l, N, pow2):
                     continue  # the linearized class is set aside
-                TL = ctx.mul_table(P[l])
-                for alpha in _coeff_reps_binomial(P, k, l, dedupe):
+                TL = ctx.mul_table(EXP[l])
+                for alpha in _coeff_reps_binomial(EXP, N, k, l, dedupe):
                     scanned += 1
                     if fibers_two_to_one(order, 0, AK, alpha, TL, 0, (0,)):
                         hits.append(((k, 1), (l, alpha)))
     elif shape == "trinomial":
         tg = ctx.mul_table(ctx.generator)
-        sieve = _fiber_sieve(P)
+        sieve = _fiber_sieve(ctx)
         for k in outer:
-            AK = _power_array(P, k)
+            AK = _power_array(EXP, N, k)
             k_pow2 = _is_pow2(k)
             for l in range(2, k):
                 if k_pow2 and _is_pow2(l):
                     continue  # linearized shapes are excluded from the template
-                AL = _power_array(P, l)
-                for beta, alphas in _coeff_reps_trinomial(P, k, l, dedupe):
+                AL = _power_array(EXP, N, l)
+                for beta, alphas in _coeff_reps_trinomial(EXP, N, k, l, dedupe):
                     TB = ctx.mul_table(beta)
                     H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + beta*x^l
                     survivors = sieve(H, alphas)
@@ -308,10 +302,10 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                         if fibers_two_to_one(order, 0, H, alpha, tg, 0, (0,)):
                             hits.append(((k, 1), (l, beta), (1, alpha)))
     else:  # quadrinomial
-        tabs = [ctx.mul_table(P[e]) for e in range(N - 1)]
+        tabs = [ctx.mul_table(EXP[e]) for e in range(N - 1)]
         for k in outer:
-            AK = _power_array(P, k)
-            base = [AK[i] ^ P[i] for i in range(N)]  # x^k + x
+            AK = _power_array(EXP, N, k)
+            base = [AK[i] ^ EXP[i] for i in range(N)]  # x^k + x
             for l in range(3, k):
                 for d in range(2, l):
                     scanned += 1

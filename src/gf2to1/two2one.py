@@ -32,7 +32,6 @@ from .tabledata import table1
 
 HISTOGRAM_MAX_N = 24
 OPOLY_MAX_N = 16
-MUL_TABLE_MAX_N = 18
 
 __all__ = [
     "PreimageHistogram",
@@ -40,7 +39,6 @@ __all__ = [
     "value_table",
     "is_two_to_one",
     "fibers_two_to_one",
-    "step_table",
     "is_o_polynomial",
     "o_orbit",
     "square_map",
@@ -85,22 +83,6 @@ class PreimageHistogram:
         return self.counts.get(v, 0)
 
 
-def step_table(ctx: FieldCtx, s: int):
-    """T with T[u] = s*u: the lookup table up to n = MUL_TABLE_MAX_N, above it
-    an object that multiplies on each lookup."""
-    if ctx.n <= MUL_TABLE_MAX_N:
-        return ctx.mul_table(s)
-    return _MulBy(ctx, s)
-
-
-class _MulBy:
-    def __init__(self, ctx: FieldCtx, s: int):
-        self.mul, self.s = ctx.mul, s
-
-    def __getitem__(self, u: int) -> int:
-        return self.mul(u, self.s)
-
-
 def fibers_two_to_one(order: int, f0: int, base, u0: int, t0, u1: int, t1) -> bool:
     """The fiber kernel: whether f0 and the values base[i] ^ u0*s0^i ^ u1*s1^i
     together fill only fibers of size 0 or 2.
@@ -137,7 +119,7 @@ def _streams(f: SparsePoly):
         if e == 0:
             const ^= c
         else:
-            streams.append((c, step_table(ctx, ctx.pow(ctx.generator, e))))
+            streams.append((c, ctx.mul_table(ctx.pow(ctx.generator, e))))
     return const, streams
 
 
@@ -171,7 +153,7 @@ def value_table(f: SparsePoly) -> list[int]:
     const, streams = _streams(reduce_exponents(f))
     V = [0] * ctx.order
     V[0] = const
-    tg = step_table(ctx, ctx.generator)
+    tg = ctx.mul_table(ctx.generator)
     p = 1
     for v in _walk(ctx.order, const, streams):
         V[p] = v
@@ -204,7 +186,7 @@ def is_o_polynomial(f: SparsePoly) -> bool:
     if const != 0:
         return False
     base = list(_walk(ctx.order, 0, streams))
-    tg = step_table(ctx, ctx.generator)
+    tg = ctx.mul_table(ctx.generator)
     return all(fibers_two_to_one(ctx.order, 0, base, a, tg, 0, (0,)) for a in ctx.nonzero())
 
 
@@ -258,15 +240,16 @@ def qm_transforms(f: SparsePoly):
     they stay distinct under every d.  The walk is in discrete-log
     coordinates: for c_j = g^(L_j) and reduced exponents e_j, coefficient j
     is g^(L_j - L_lead + B*(e_j - e_lead)), so d only reorders the terms and
-    no field multiplication is needed.
+    no field multiplication is needed.  The logs and powers come from
+    FieldCtx.log_tables(), so n > LOG_TABLE_MAX_N raises ValueError at the
+    first step, before any transform is walked.
     """
     ctx = f.ctx
     fr = reduce_exponents(f)
     if fr.is_zero:
         raise ValueError("the zero polynomial has no transforms")
+    EXP, LOG = ctx.log_tables()
     N = ctx.order - 1
-    P = ctx.powers()
-    LOG = {p: i for i, p in enumerate(P)}
     exps = fr.exponents()
     logs = [LOG[c] for c in fr.coeffs()]
     for d in range(1, N + 1):
@@ -277,7 +260,7 @@ def qm_transforms(f: SparsePoly):
         lead = order_ix[0]
         sorted_exps = [new_exps[j] for j in order_ix]
         columns = [
-            [P[(logs[j] - logs[lead] + B * (exps[j] - exps[lead])) % N] for B in range(N)]
+            [EXP[(logs[j] - logs[lead] + B * (exps[j] - exps[lead])) % N] for B in range(N)]
             for j in order_ix
         ]
         for row in zip(*columns):

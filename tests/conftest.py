@@ -1,5 +1,7 @@
 import os
+import signal
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -9,3 +11,17 @@ settings.register_profile(
     "thorough", max_examples=400, deadline=None, suppress_health_check=(HealthCheck.too_slow,)
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) arms a timer that fails the test with TimeoutError once
+    it runs that long, so a call that never returns cannot stall the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)

@@ -26,6 +26,12 @@ def _dying_shard(args):
     os._exit(1)
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this checkout's gf2to1."""
+    src = pathlib.Path(gf2to1.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
 class TestCheck:
     def test_two_to_one_exit_zero(self, capsys):
         code, out, _ = run(capsys, "check", "x^2+x", "--n", "5")
@@ -53,6 +59,18 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "x^2+x", "--n", "3", "--modulus", "d")
         assert code == 0
         assert "gf2_3/0xd" in out
+
+    def test_negative_modulus_usage_error(self):
+        # in a child with a timeout: a modulus loop that never ends fails the test
+        proc = subprocess.run(
+            [sys.executable, "-m", "gf2to1.cli", "check", "x^3", "--n", "3", "--modulus=-0xb"],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: modulus -0xb is negative" in proc.stderr
 
 
 class TestFamily:
@@ -267,6 +285,32 @@ class TestFormatEnv:
         assert code == 0
         assert "two-to-one: yes" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "x^2+x", "--n", "3"),
+            ("family", "tri_I", "--n", "4"),
+            ("tables", "--which", "I"),
+            ("resultant", "--theorem", "1", "--n", "3"),
+            ("count-points", "--a3", "0x1", "--a2", "0x0", "--a1", "0x1", "--n", "3"),
+            ("lemma", "--which", "2.4", "--n", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_only_for_search(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'csv'" in err
+
+    def test_csv_env_default_falls_back_to_text(self, capsys, monkeypatch):
+        monkeypatch.setenv("GF2TO1_FORMAT", "csv")
+        code, out, _ = run(capsys, "check", "x^2+x", "--n", "3")
+        assert code == 0
+        assert "two-to-one: yes" in out
+        code, out, _ = run(capsys, "search", "--shape", "binomial", "--n", "3", "--workers", "1")
+        assert code == 0
+        assert out.startswith("poly,orbit_size\n")
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -276,11 +320,9 @@ class TestUsage:
         assert run(capsys, "check", "x^2+x")[0] == 2
 
     def test_module_entry_point_runs_main(self):
-        src = pathlib.Path(gf2to1.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
             [sys.executable, "-m", "gf2to1.cli", "tables", "--which", "IV"],
-            env=env,
+            env=_child_env(),
             capture_output=True,
             text=True,
         )

@@ -114,6 +114,23 @@ class TestConstruction:
         assert irreducible_factor_degree(0b10101) == 2
         assert irreducible_factor_degree(0b110) == 1  # x^2 + x = x(x+1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_irreducible_factor_degree_matches_trial_division(self, n):
+        got = [m for m in range(1 << n, 1 << (n + 1)) if irreducible_factor_degree(m) is None]
+        assert got == brute_irreducibles(n)
+
+    def test_negative_modulus_rejected(self, deadline):
+        # bit_length ignores the sign, so -0xb passes a degree check as a cubic
+        deadline(5)
+        for call in (
+            lambda: FieldCtx(3, -0xB),
+            lambda: make_field(3, -0xB),
+            lambda: field_from_label("gf2_3/-0xb"),
+            lambda: irreducible_factor_degree(-0xB),
+        ):
+            with pytest.raises(ValueError, match="negative"):
+                call()
+
 
 class TestArithmetic:
     def test_mul_one_reduction_step(self):
@@ -290,7 +307,9 @@ class TestTablesAgainstShiftXor:
         small = make_field(LOG_TABLE_MAX_N)
         assert small._exp is None  # nothing is built until used
         assert small.mul(3, 5) == mul_ref(small, 3, 5)
-        assert len(small._exp) == 2 * (small.order - 1) and len(small._log) == small.order
+        N = small.order - 1
+        assert len(small._exp) == 4 * N + 1 and len(small._log) == small.order
+        assert small._exp[2 * N :] == [0] * (2 * N + 1) and small._log[0] == 2 * N
         big = make_field(LOG_TABLE_MAX_N + 1)
         assert big.mul(3, 5) == mul_ref(big, 3, 5)
         assert big._exp is None and big._log is None
@@ -338,10 +357,20 @@ class TestFieldAxioms:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, LOG_TABLE_MAX_N + 1])
     def test_powers_match_pow(self, n):
-        f = make_field(n)
-        P = f.powers()
-        assert P == [f.pow(f.generator, i) for i in range(f.order - 1)]
-        assert sorted(P) == list(f.nonzero())  # every nonzero element once
+        """log_tables() for every modulus: EXP[:N] is the power walk of the
+        generator, and EXP[LOG[a] + LOG[b]] is a*b for every pair, zero included."""
+        if n > LOG_TABLE_MAX_N:
+            with pytest.raises(ValueError, match=f"n={LOG_TABLE_MAX_N}"):
+                make_field(n).log_tables()
+            return
+        for m in brute_irreducibles(n):
+            f = FieldCtx(n, m)
+            N = f.order - 1
+            EXP, LOG = f.log_tables()
+            assert EXP[:N] == [pow_ref(f, f.generator, i) for i in range(N)]
+            assert sorted(EXP[:N]) == list(f.nonzero())  # every nonzero element once
+            for a in f.elements():
+                assert [EXP[LOG[a] + LOG[b]] for b in f.elements()] == [mul_ref(f, a, b) for b in f.elements()]
 
 
 class TestIsomorphismAcrossModuli:

@@ -334,7 +334,7 @@ class TestFiberSieve:
             [(rng.randrange(2, N + 1), rng.randrange(1, ctx.order)) for _ in range(rng.randrange(1, 4))]
             for _ in range(12)
         ]
-        sieve = search._fiber_sieve(ctx.powers())
+        sieve = search._fiber_sieve(ctx)
         survived = 0
         for terms in cases:
             H = [0] * N
@@ -353,7 +353,7 @@ class TestFiberSieve:
     def test_reports_match_the_kernel_only_scan(self, shape, dedupe, n, workers, monkeypatch):
         ctx = make_field(n)
         sieved = search_sparse(ctx, shape, dedupe, workers=workers)
-        monkeypatch.setattr(search, "_fiber_sieve", lambda P: lambda H, alphas: alphas)
+        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx: lambda H, alphas: alphas)
         plain = search_sparse(ctx, shape, dedupe, workers=workers)
         assert report_to_json(sieved, include_timing=False) == report_to_json(plain, include_timing=False)
         assert sieved.candidates_scanned == plain.candidates_scanned
@@ -446,6 +446,12 @@ class TestSerialization:
     def test_not_a_report(self):
         with pytest.raises(ValueError):
             report_from_json(json.dumps({"kind": "something"}))
+
+    def test_negative_modulus_label(self, deadline):
+        deadline(5)
+        doc = {"kind": "search_report", "field": "gf2_3/-0xb", "shape": "binomial", "dedupe": "qm", "hits": [], "scanned": 0}
+        with pytest.raises(ValueError, match="negative"):
+            report_from_json(json.dumps(doc))
 
 
 class TestShapePredicates:

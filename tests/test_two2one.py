@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gf2to1.field import make_field
+from gf2to1.field import LOG_TABLE_MAX_N, make_field
 from gf2to1.poly import SparsePoly, count_bivariate_zeros, reduce_exponents, resultant_eliminate
 from gf2to1.two2one import (
     FAMILY_TAGS,
@@ -22,7 +22,6 @@ from gf2to1.two2one import (
     qm_shape_orbit,
     qm_transforms,
     square_map,
-    step_table,
     value_table,
     verify_resultant_identity,
     _elimination_pair,
@@ -82,7 +81,7 @@ def qm_transforms_by_mul(f):
     N = ctx.order - 1
     exps = fr.exponents()
     k = len(exps)
-    tabs = [step_table(ctx, ctx.pow(ctx.generator, e % N)) for e in exps]
+    tabs = [ctx.mul_table(ctx.pow(ctx.generator, e % N)) for e in exps]
     for d in range(1, N + 1):
         if math.gcd(d, N) != 1:
             continue
@@ -132,7 +131,7 @@ class TestHistogram:
         assert is_two_to_one(f) == h.is_two_to_one
 
     def test_table_free_paths_agree(self, monkeypatch):
-        import gf2to1.two2one as t
+        import gf2to1.field as field
 
         f = sp(F16, (12, 1), (11, 1), (1, 2))
         o = sp(F16, (2, 1))  # an o-polynomial; f is not one
@@ -148,7 +147,7 @@ class TestHistogram:
             )
 
         with_tables = run()
-        monkeypatch.setattr(t, "MUL_TABLE_MAX_N", 0)
+        monkeypatch.setattr(field, "MUL_TABLE_MAX_N", 0)
         assert run() == with_tables
 
 
@@ -331,6 +330,14 @@ class TestQmEquivalence:
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             list(qm_transforms(SparsePoly.make(F8, [])))
+
+    def test_rejected_above_the_log_cap(self, deadline):
+        # the walk reads FieldCtx.log_tables(); at n = 13 it would be 8191 * 8190 transforms
+        deadline(5)
+        f = sp(make_field(LOG_TABLE_MAX_N + 1), (3, 1), (1, 1))
+        for call in (qm_canonical, qm_shape_orbit):
+            with pytest.raises(ValueError, match=f"up to n={LOG_TABLE_MAX_N}"):
+                call(f)
 
 
 class TestSquareMap:
