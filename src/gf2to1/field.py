@@ -275,6 +275,8 @@ class FieldCtx:
 
     def trace_rel(self, m: int, x: int) -> int:
         """Relative trace onto the subfield GF(2^m); m must divide n."""
+        if m < 1:
+            raise ValueError(f"m must be at least 1, got m={m}")
         if self.n % m != 0:
             raise ValueError(f"m={m} does not divide n={self.n}")
         acc = t = x

@@ -77,7 +77,8 @@ class SparsePoly:
         return tuple(c for _, c in self.terms)
 
     def sort_key(self):
-        """Total order used for report ordering and canonical comparison."""
+        """Exponent sequence, then coefficients: the order of report hits.
+        qm_canonical compares term tuples pair by pair instead."""
         return (self.exponents(), self.coeffs())
 
     def eval(self, x: int) -> int:

@@ -24,6 +24,11 @@ the reports are those of the kernel alone.  Every candidate still counts as
 scanned, and the report's sieve_rejected says how many the sieve decided.
 Binomials (alpha on x^l) and quadrinomials (no free coefficient) run the
 kernel on every candidate.
+
+The scan alone decides template membership: each hit carries the number of
+template candidates it stands for, and a class's orbit size is that weight
+summed over the raw hits in its QM orbit.  The hits of a qm report are the
+canonicals of their classes, and the table comparisons read them as they are.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ __all__ = [
     "search_degree5",
     "search_sparse",
     "compare_with_table",
-    "shape_predicate",
     "report_to_json",
     "report_from_json",
     "report_to_csv",
@@ -93,9 +97,6 @@ class SearchReport:
     elapsed_ms: int
     notes: tuple[str, ...] = ()
     sieve_rejected: int = 0  # candidates the fiber sieve decided without the kernel
-
-    def hit_polys(self) -> list[SparsePoly]:
-        return [h.poly for h in self.hits]
 
 
 # ---------------------------------------------------------------------------
@@ -125,52 +126,6 @@ def _binomial_is_linearized_class(k: int, l: int, N: int, pow2: frozenset[int]) 
     if math.gcd(k, N) != 1 or math.gcd(l, N) != 1:
         return False
     return k * pow(l, -1, N) % N in pow2
-
-
-def shape_predicate(shape: str, order: int):
-    """Membership test for a term tuple in a search template.
-
-    Used both to filter QM-orbit members when counting how many raw
-    candidates a class explains, and in tests for dedupe correctness.
-    """
-    N = order - 1
-    if shape == "degree5":
-
-        def ok(terms):
-            return terms[0] == (5, 1) and all(e in (3, 2, 1) for e, _ in terms[1:])
-
-    elif shape == "binomial":
-        pow2 = _pow2_residues(N)
-
-        def ok(terms):
-            if len(terms) != 2 or terms[0][1] != 1:
-                return False
-            k, l = terms[0][0], terms[1][0]
-            if l < 1 or k > N - 1:
-                return False
-            return not _binomial_is_linearized_class(k, l, N, pow2)
-
-    elif shape == "trinomial":
-
-        def ok(terms):
-            if len(terms) != 3 or terms[0][1] != 1:
-                return False
-            k, l = terms[0][0], terms[1][0]
-            if terms[2][0] != 1 or l <= 1 or k > N - 1:
-                return False
-            return not (_is_pow2(k) and _is_pow2(l))
-
-    elif shape == "quadrinomial":
-
-        def ok(terms):
-            if len(terms) != 4 or any(c != 1 for _, c in terms):
-                return False
-            k, l, d, one = (e for e, _ in terms)
-            return one == 1 and d > 1 and k <= N - 1
-
-    else:
-        raise ValueError(f"unknown shape {shape!r}; expected one of {tuple(SHAPES)}")
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +200,9 @@ def _fiber_sieve(ctx: FieldCtx):
 
 def _shard(args) -> tuple[list[tuple], int, int]:
     """(hits, candidates scanned, candidates the fiber sieve rejected) for one
-    stride of a shape's outer loop."""
+    stride of a shape's outer loop.  A hit is (terms, weight), the weight the
+    size of its monic-rescaling orbit when dedupe="qm" prunes, else 1; the
+    rescaling translates the coefficient logs, so one (k, l) has one size."""
     n, modulus, shape, dedupe, outer = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
@@ -269,7 +226,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 rejected += order - len(survivors)
                 for a1 in survivors:
                     if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
-                        hits.append(tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]))
+                        hits.append((tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]), 1))
     elif shape == "binomial":
         pow2 = _pow2_residues(N)
         for k in outer:
@@ -278,10 +235,12 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 if _binomial_is_linearized_class(k, l, N, pow2):
                     continue  # the linearized class is set aside
                 TL = ctx.mul_table(EXP[l])
-                for alpha in _coeff_reps_binomial(EXP, N, k, l, dedupe):
+                reps = _coeff_reps_binomial(EXP, N, k, l, dedupe)
+                weight = N // len(reps)
+                for alpha in reps:
                     scanned += 1
                     if fibers_two_to_one(order, 0, AK, alpha, TL, 0, (0,)):
-                        hits.append(((k, 1), (l, alpha)))
+                        hits.append((((k, 1), (l, alpha)), weight))
     elif shape == "trinomial":
         tg = ctx.mul_table(ctx.generator)
         sieve = _fiber_sieve(ctx)
@@ -292,7 +251,9 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 if k_pow2 and _is_pow2(l):
                     continue  # linearized shapes are excluded from the template
                 AL = _power_array(EXP, N, l)
-                for beta, alphas in _coeff_reps_trinomial(EXP, N, k, l, dedupe):
+                groups = _coeff_reps_trinomial(EXP, N, k, l, dedupe)
+                weight = N * N // sum(len(alphas) for _, alphas in groups)
+                for beta, alphas in groups:
                     TB = ctx.mul_table(beta)
                     H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + beta*x^l
                     survivors = sieve(H, alphas)
@@ -300,7 +261,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                     rejected += len(alphas) - len(survivors)
                     for alpha in survivors:
                         if fibers_two_to_one(order, 0, H, alpha, tg, 0, (0,)):
-                            hits.append(((k, 1), (l, beta), (1, alpha)))
+                            hits.append((((k, 1), (l, beta), (1, alpha)), weight))
     else:  # quadrinomial
         tabs = [ctx.mul_table(EXP[e]) for e in range(N - 1)]
         for k in outer:
@@ -310,7 +271,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 for d in range(2, l):
                     scanned += 1
                     if fibers_two_to_one(order, 0, base, 1, tabs[l], 1, tabs[d]):
-                        hits.append(((k, 1), (l, 1), (d, 1), (1, 1)))
+                        hits.append((((k, 1), (l, 1), (d, 1), (1, 1)), 1))
     return hits, scanned, rejected
 
 
@@ -339,25 +300,27 @@ def _finalize(
     ctx: FieldCtx,
     shape: str,
     dedupe: str,
-    raw_terms: list[tuple],
+    raw: dict[tuple, int],
     scanned: int,
     t0: float,
     notes: tuple[str, ...] = (),
     sieve_rejected: int = 0,
 ) -> SearchReport:
-    """One canonical and one shape-orbit walk per class: each orbit member maps
-    to the class's canonical Hit."""
-    pred = shape_predicate(shape, ctx.order)
+    """One canonical and one orbit walk per class; raw maps each raw hit to its
+    shard weight.  A template member of a 2-to-1 class is 2-to-1, so its
+    scaling representative is a raw hit, and the orbit size (the template
+    candidates the class explains) is the weight summed over the class."""
     classes: dict[tuple, Hit] = {}
-    for t in raw_terms:
+    for t in raw:
         if t not in classes:
             p = SparsePoly(ctx, t)
-            orbit = qm_shape_orbit(p, pred)
-            classes.update(dict.fromkeys(orbit, Hit(qm_canonical(p), len(orbit))))
+            members = qm_shape_orbit(p, raw.__contains__)
+            size = sum(raw[m] for m in members)
+            classes.update(dict.fromkeys(members, Hit(qm_canonical(p), size)))
     if dedupe == "qm":
         chosen = set(classes.values())
     else:
-        chosen = [Hit(SparsePoly(ctx, t), classes[t].orbit_size) for t in raw_terms]
+        chosen = [Hit(SparsePoly(ctx, t), classes[t].orbit_size) for t in raw]
     hits = tuple(sorted(chosen, key=lambda h: h.poly.sort_key()))
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     return SearchReport(ctx, shape, dedupe, hits, scanned, elapsed_ms, notes, sieve_rejected)
@@ -384,10 +347,10 @@ def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int
         (ctx.n, ctx.modulus, shape, dedupe, outer)
         for outer in _strides(SHAPES[shape], hi, workers)
     ]
-    raw: list[tuple] = []
+    raw: dict[tuple, int] = {}
     scanned = rejected = 0
     for hits, cnt, rej in _run_shards(_shard, shards):
-        raw.extend(hits)
+        raw.update(hits)
         scanned += cnt
         rejected += rej
     notes = ()
@@ -514,7 +477,7 @@ def _compare_table2(report: SearchReport) -> TableDiff:
     if ctx.n not in covered:
         raise ValueError(f"table II covers n in {sorted(covered)}, got n={ctx.n}")
     expected = expected_table2_classes(ctx)
-    got = {qm_canonical(h.poly).terms for h in report.hits}
+    got = {h.poly.terms for h in report.hits}
     missing = tuple(sorted(str(SparsePoly(ctx, t)) for t in expected - got))
     extra = tuple(sorted(str(SparsePoly(ctx, t)) for t in got - expected))
     return TableDiff("II", None, missing, extra)
@@ -522,7 +485,7 @@ def _compare_table2(report: SearchReport) -> TableDiff:
 
 def _compare_table3(report: SearchReport) -> TableDiff:
     ctx = report.ctx
-    got = {qm_canonical(h.poly).terms for h in report.hits}
+    got = {h.poly.terms for h in report.hits}
     missing = []
     for tag in table3()["families"]:
         if tag not in admissible_family_tags(ctx.n):
@@ -540,13 +503,17 @@ def compare_with_table(report: SearchReport, which: str) -> TableDiff:
     class of x), then across every primitive-element relabeling, recording
     the alignment that matched.  Table II: equivalence-class equality, each
     row expanded over all roots of its parameter equation.  Table III:
-    membership of every family admissible at the report's n.
+    membership of every family admissible at the report's n.  The report
+    must be the table's search in TABLE_RUNS, so qm hits are canonicals.
     """
     if which not in TABLE_RUNS:
         raise ValueError(f"unknown table {which!r}; expected I, II or III")
-    shape = TABLE_RUNS[which][0]
-    if report.shape != shape:
-        raise ValueError(f"table {which} compares {shape} reports, got {report.shape!r}")
+    shape, dedupe, _ = TABLE_RUNS[which]
+    if (report.shape, report.dedupe) != (shape, dedupe):
+        raise ValueError(
+            f"table {which} compares {shape} reports with dedupe={dedupe!r}, "
+            f"got {report.shape!r} with dedupe={report.dedupe!r}"
+        )
     if which == "I":
         return _compare_table1(report)
     if which == "II":

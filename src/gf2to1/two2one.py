@@ -268,7 +268,9 @@ def qm_transforms(f: SparsePoly):
 
 
 def qm_canonical(f: SparsePoly) -> SparsePoly:
-    """The minimum transform under (exponent sequence, coefficient bits) order.
+    """The least transform term tuple: (exponent, coefficient) pairs compared
+    lexicographically from the leading term down, so a coefficient ranks
+    before every lower exponent.
 
     Two polynomials are QM-equivalent exactly when their canonicals agree.
     Cost is (2^n - 1) * phi(2^n - 1) transforms; intended for dedupe, never
@@ -279,7 +281,8 @@ def qm_canonical(f: SparsePoly) -> SparsePoly:
 
 
 def qm_shape_orbit(f: SparsePoly, shape_ok=None) -> set[tuple]:
-    """Distinct monic transforms of f, optionally filtered by a shape predicate."""
+    """Distinct monic transforms of f, optionally filtered by shape_ok, any
+    membership test on a term tuple (such as the __contains__ of a hit set)."""
     out = set()
     for terms in qm_transforms(f):
         if shape_ok is None or shape_ok(terms):

@@ -5,6 +5,7 @@ Run `pytest tests/test_acceptance.py -v` (add `-s` to see the PASS lines, and
 Stated runtime budgets are asserted where the criterion pins one.
 """
 
+import hashlib
 import math
 import time
 
@@ -339,3 +340,26 @@ def test_criterion_10_determinism(capsys):
     code2, doc2 = run(["tables", "--which", "I", "--workers", "2", "--format", "json"])
     assert code1 == code2 == 0 and doc1 == doc2
     _ok("criterion 10 (table reports byte-identical across worker counts)")
+
+
+# SHA-256 of each `tables --format json` document: they pin every hit and every
+# orbit size, the n = 6 trinomial classes included
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["--which", "I"], "5077aa6acb6efc5cc27d92960e81a06e6cdde0a218e3481aa70fb3b33b75214a"),
+        (["--which", "II"], "9dde8f607a50c9f9bc2ed9a13fd42c5452d447aac19e071b43fded4c6f6aa674"),
+        (["--which", "III"], "1bc6a8ebee5931ac04a7a947b39c27eacef80540da45cb0735046773178c6ebf"),
+        pytest.param(
+            ["--which", "II", "--long"],
+            "e3b64de8583a2203a3c1dd860d1273eb21debafb094e7895929484fdc77491eb",
+            marks=pytest.mark.long,
+        ),
+    ],
+)
+def test_criterion_10_pinned_table_digests(capsys, argv, digest):
+    for workers in (1, 2):
+        assert main(["tables", *argv, "--workers", str(workers), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, workers)
+    _ok(f"criterion 10 (tables {' '.join(argv)} matches its pinned SHA-256 at 1 and 2 workers)")

@@ -211,6 +211,11 @@ class TestTraceFrobenius:
         with pytest.raises(ValueError):
             make_field(6).trace_rel(4, 1)
 
+    @pytest.mark.parametrize("m", [0, -1, -2])
+    def test_trace_rel_m_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"m must be at least 1, got m={m}"):
+            make_field(4).trace_rel(m, 5)
+
     def test_frobenius_full_orbit(self):
         f = make_field(3)
         for x in f.elements():

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -19,12 +21,36 @@ from gf2to1.search import (
     report_to_json,
     search_degree5,
     search_sparse,
-    shape_predicate,
 )
 from gf2to1.two2one import is_two_to_one, qm_canonical, qm_shape_orbit
 
 F8 = make_field(3)
 F16 = make_field(4)
+
+
+def shape_predicate(shape, order):
+    """Membership test for a term tuple in a search template, written from the
+    template's definition: the oracle for the scans and their orbit sizes."""
+    N = order - 1
+    pow2 = {1 << i for i in range(N.bit_length())}
+
+    def ok(terms):
+        exps = [e for e, _ in terms]
+        if terms[0][1] != 1 or exps[0] > N - 1 or exps[-1] < 1:
+            return False
+        if shape == "degree5":
+            return exps[0] == 5 and all(e in (3, 2, 1) for e in exps[1:])
+        if shape == "binomial":
+            # no unit d sends both exponents to powers of two: x^k + c*x^l is
+            # not equivalent to a linearized binomial
+            return len(terms) == 2 and not any(
+                math.gcd(d, N) == 1 and all(e * d % N in pow2 for e in exps) for d in range(1, N)
+            )
+        if shape == "trinomial":
+            return len(terms) == 3 and exps[2] == 1 and exps[1] > 1 and not set(exps[:2]) <= pow2
+        return len(terms) == 4 and exps[3] == 1 and all(c == 1 for _, c in terms)
+
+    return ok
 
 
 def brute_degree5(ctx):
@@ -191,6 +217,29 @@ class TestSparseSearches:
             assert not (union & orbit)  # classes are disjoint
             union |= orbit
         assert union == raw
+
+    @pytest.mark.parametrize("shape", ["binomial", "trinomial"])
+    def test_weight_is_the_rescaling_orbit_size(self, shape, monkeypatch):
+        # every candidate a hit, so the shard lists each representative it scans;
+        # N = 15 is composite, so some orbits are short
+        monkeypatch.setattr(search, "fibers_two_to_one", lambda *args: True)
+        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx: lambda H, alphas: alphas)
+        ctx = F16
+        N = ctx.order - 1
+        hits, scanned, _ = search._shard((4, ctx.modulus, shape, "qm", OUTER[shape](ctx.order)))
+        assert len(hits) == scanned
+        per_exponents = Counter()
+        for terms, weight in hits:
+            k = terms[0][0]
+            orbit = {  # f(b*x) / b^k, by field multiplication
+                tuple((e, ctx.div(ctx.mul(c, ctx.pow(b, e)), ctx.pow(b, k))) for e, c in terms)
+                for b in ctx.nonzero()
+            }
+            assert weight == len(orbit), terms
+            per_exponents[tuple(e for e, _ in terms)] += weight
+        # the weights of one (k, l) add up to its literal candidate count
+        assert set(per_exponents.values()) == {N if shape == "binomial" else N * N}
+        assert min(w for _, w in hits) < N
 
     def test_no_two_qm_hits_equivalent(self):
         from gf2to1.two2one import qm_canonical
@@ -407,6 +456,13 @@ class TestTableComparison:
         rep = search_degree5(F8)
         with pytest.raises(ValueError, match="table II"):
             compare_with_table(rep, "II")
+
+    @pytest.mark.parametrize("shape,which", [("trinomial", "II"), ("quadrinomial", "III")])
+    def test_dedupe_mismatch_rejected(self, shape, which):
+        # a none report lists raw hits, not the canonicals the diff reads
+        rep = search_sparse(F16, shape, dedupe="none")
+        with pytest.raises(ValueError, match=f"table {which} .*dedupe='qm', got .*dedupe='none'"):
+            compare_with_table(rep, which)
 
     def test_unknown_table(self):
         with pytest.raises(ValueError, match="unknown table"):

@@ -316,6 +316,14 @@ class TestQmEquivalence:
             kmin = min((k * d - 1) % 7 + 1 for d in range(1, 7))
             assert qm_canonical(f) == sp(F8, (kmin, 1))
 
+    def test_canonical_compares_term_pairs_from_the_lead(self):
+        # the least term tuple ranks the second coefficient before the third
+        # exponent, so it is not the least exponent sequence
+        f = sp(F16, (13, 0x4), (10, 0xD), (4, 0xD))
+        assert qm_canonical(f).terms == ((10, 1), (7, 1), (4, 3))
+        exponent_first = min(qm_transforms(f), key=lambda t: ([e for e, _ in t], [c for _, c in t]))
+        assert exponent_first == ((10, 1), (7, 2), (1, 12))
+
     def test_canonical_idempotent(self):
         f = sp(F16, (12, 1), (11, 1), (1, 2))
         c = qm_canonical(f)
