@@ -1,11 +1,18 @@
 """Command-line surface: verification, family construction, searches,
 elimination-identity checks and reference-table reproduction.
 
+Each subcommand returns (doc, lines, ok): the json document, the text
+rendering as lines, and whether the run found no mathematical mismatch.
+main alone writes one of them to stdout and maps ok to the exit code.  The
+default output format is text; GF2TO1_FORMAT overrides the default, an
+explicit --format always wins.  Every subcommand writes text and json; only
+search writes csv (its report_to_csv lines), and a csv default from
+GF2TO1_FORMAT gives text elsewhere.
+
 Exit codes: 0 success / empty diff, 1 mathematical mismatch, 2 usage error.
-Documents go to stdout, diagnostics to stderr.  The default output format is
-text; GF2TO1_FORMAT overrides the default, an explicit --format always wins.
-Every subcommand writes text and json; only search writes csv, and a csv
-default from GF2TO1_FORMAT gives text elsewhere.
+Past argparse's own checks, every usage error is a ValueError caught in
+main: it writes exactly one ``error: <message>`` line to stderr, nothing to
+stdout, and exits 2.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
-from .field import FieldCtx, field_from_label, fmt_elem, make_field, parse_elem
+from .field import FieldCtx, field_from_label, fmt_elem, make_field, parse_elem, read_int
 from .lowdeg import (
     lemma_cubic_agreement,
     lemma_quadratic_agreement,
@@ -37,7 +45,6 @@ from .search import (
 )
 from .two2one import (
     FAMILY_TAGS,
-    family_admissibility_error,
     is_two_to_one,
     make_family,
     point_count_curve,
@@ -53,209 +60,137 @@ EXIT_USAGE = 2
 FORMATS = ("text", "json", "csv")  # csv is for search reports only
 
 
-def _default_format() -> str:
-    env = os.environ.get("GF2TO1_FORMAT", "").strip().lower()
-    return env if env in FORMATS else "text"
-
-
-def _emit(doc: str) -> None:
-    sys.stdout.write(doc if doc.endswith("\n") else doc + "\n")
-
-
 def _diag(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _fmt(args) -> str:
+    env = os.environ.get("GF2TO1_FORMAT", "").strip().lower()
+    return args.format or (env if env in FORMATS else "text")
 
 
 def _field(args) -> FieldCtx:
-    modulus = int(args.modulus, 16) if args.modulus else None
+    modulus = read_int(args.modulus, 16, "modulus") if args.modulus else None
     return make_field(args.n, modulus)
 
 
-def _fmt(args) -> str:
-    return args.format or _default_format()
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (json document, text lines, ok)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     ctx = _field(args)
     f = parse_poly(ctx, args.poly)
     hist = preimage_histogram(f)
     verdict = hist.is_two_to_one
-    sizes: dict[int, int] = {}
-    for c in hist.counts.values():
-        sizes[c] = sizes.get(c, 0) + 1
-    if _fmt(args) == "json":
-        _emit(
-            _json(
-                {
-                    "kind": "check",
-                    "field": ctx.label(),
-                    "poly": str(f),
-                    "two_to_one": verdict,
-                    "image_size": hist.image_size,
-                    "fiber_sizes": {str(k): v for k, v in sorted(sizes.items())},
-                }
-            )
-        )
-    else:
-        _emit(f"field: {ctx.label()}")
-        _emit(f"poly: {f}")
-        _emit(f"two-to-one: {'yes' if verdict else 'no'}")
-        _emit(f"image size: {hist.image_size} of {ctx.order}")
-        for k, v in sorted(sizes.items()):
-            _emit(f"fibers of size {k}: {v}")
-    return EXIT_OK if verdict else EXIT_MISMATCH
+    sizes = sorted(Counter(hist.counts.values()).items())
+    doc = {
+        "kind": "check",
+        "field": ctx.label(),
+        "poly": str(f),
+        "two_to_one": verdict,
+        "image_size": hist.image_size,
+        "fiber_sizes": {str(k): v for k, v in sizes},
+    }
+    lines = [
+        f"field: {ctx.label()}",
+        f"poly: {f}",
+        f"two-to-one: {'yes' if verdict else 'no'}",
+        f"image size: {hist.image_size} of {ctx.order}",
+        *(f"fibers of size {k}: {v}" for k, v in sizes),
+    ]
+    return doc, lines, verdict
 
 
-def _cmd_family(args) -> int:
-    err = family_admissibility_error(args.family, args.n)
-    if err is not None:
-        _diag(f"family {args.family} rejected: {err}")
-        return EXIT_USAGE
+def _cmd_family(args):
     ctx = _field(args)
     param = parse_elem(ctx, args.param) if args.param else None
     f = make_family(args.family, ctx, param)
     verified = is_two_to_one(f)
-    if _fmt(args) == "json":
-        _emit(
-            _json(
-                {
-                    "kind": "family",
-                    "field": ctx.label(),
-                    "family": args.family,
-                    "poly": str(f),
-                    "two_to_one": verified,
-                }
-            )
-        )
-    else:
-        _emit(f"family: {args.family} over {ctx.label()}")
-        _emit(f"poly: {f}")
-        _emit(f"two-to-one: {'yes' if verified else 'NO (construction bug)'}")
-    return EXIT_OK if verified else EXIT_MISMATCH
+    doc = {"kind": "family", "field": ctx.label(), "family": args.family, "poly": str(f), "two_to_one": verified}
+    lines = [
+        f"family: {args.family} over {ctx.label()}",
+        f"poly: {f}",
+        f"two-to-one: {'yes' if verified else 'NO (construction bug)'}",
+    ]
+    return doc, lines, verified
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     ctx = _field(args)
-    report = search_sparse(ctx, args.shape, args.dedupe, args.long, args.workers)
+    dedupe = args.dedupe or ("none" if args.shape == "degree5" else "qm")
+    report = search_sparse(ctx, args.shape, dedupe, args.long, args.workers)
     fmt = _fmt(args)
-    if fmt == "json":
-        _emit(_json(report_to_dict(report)))
-    elif fmt == "csv":
-        _emit(report_to_csv(report))
+    if fmt == "csv":
+        lines = report_to_csv(report).splitlines()
     else:
-        _emit(
+        lines = [
             f"search {report.shape} over {ctx.label()} dedupe={report.dedupe}: "
             f"{len(report.hits)} hits, {report.candidates_scanned} candidates "
-            f"({report.sieve_rejected} rejected by the fiber sieve), {report.elapsed_ms} ms"
-        )
-        for h in report.hits:
-            _emit(f"  {h.poly}  (orbit {h.orbit_size})")
+            f"({report.sieve_rejected} rejected by the fiber sieve), {report.elapsed_ms} ms",
+            *(f"  {h.poly}  (orbit {h.orbit_size})" for h in report.hits),
+        ]
+    if fmt == "text":
         for note in report.notes:
             _diag(f"note: {note}")
-    return EXIT_OK
+    return report_to_dict(report), lines, True
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args):
     shape, dedupe, all_n = TABLE_RUNS[args.which]
     n_max = args.n_max or (SEARCH_LONG_MAX_N if args.long else SEARCH_MAX_N)
     if n_max > SEARCH_MAX_N and not args.long:
-        _diag(f"error: --n-max {n_max} runs the n={n_max} searches; pass --long")
-        return EXIT_USAGE
-    ns = [n for n in all_n if n <= n_max]
+        raise ValueError(f"--n-max {n_max} runs the n={n_max} searches; pass --long")
     results = []
-    for n in ns:
-        ctx = make_field(n)
-        report = search_sparse(ctx, shape, dedupe, args.long, args.workers)
-        diff = compare_with_table(report, args.which)
-        results.append((n, report, diff))
+    for n in all_n:
+        if n <= n_max:
+            report = search_sparse(make_field(n), shape, dedupe, args.long, args.workers)
+            results.append((n, report, compare_with_table(report, args.which)))
     ok = all(d.ok for _, _, d in results)
-    if _fmt(args) == "json":
-        doc = {
-            "kind": "tables",
-            "table": args.which,
-            "results": [
-                {
-                    "n": n,
-                    "report": report_to_dict(rep, include_timing=False),
-                    "diff": diff_to_dict(d),
-                }
-                for n, rep, d in results
-            ],
-            "ok": ok,
-        }
-        _emit(_json(doc))
-    else:
-        for n, rep, d in results:
-            status = "ok" if d.ok else "MISMATCH"
-            aligned = f" [{d.aligned}]" if d.aligned else ""
-            _emit(f"table {args.which} n={n}: {len(rep.hits)} hits, {status}{aligned}")
-            for m in d.missing:
-                _emit(f"  missing: {m}")
-            for e in d.extra:
-                _emit(f"  extra: {e}")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    doc = {
+        "kind": "tables",
+        "table": args.which,
+        "results": [
+            {"n": n, "report": report_to_dict(rep, include_timing=False), "diff": diff_to_dict(d)}
+            for n, rep, d in results
+        ],
+        "ok": ok,
+    }
+    lines = []
+    for n, rep, d in results:
+        aligned = f" [{d.aligned}]" if d.aligned else ""
+        lines.append(f"table {args.which} n={n}: {len(rep.hits)} hits, {'ok' if d.ok else 'MISMATCH'}{aligned}")
+        lines.extend(f"  missing: {m}" for m in d.missing)
+        lines.extend(f"  extra: {e}" for e in d.extra)
+    return doc, lines, ok
 
 
-def _cmd_resultant(args) -> int:
+def _cmd_resultant(args):
     ctx = _field(args)
     chk = verify_resultant_identity(args.theorem, ctx)
-    if _fmt(args) == "json":
-        _emit(
-            _json(
-                {
-                    "kind": "resultant",
-                    "field": ctx.label(),
-                    "theorem": args.theorem,
-                    "ok": chk.ok,
-                    "failing_a": fmt_elem(chk.failing_a) if chk.failing_a is not None else None,
-                }
-            )
-        )
-    else:
-        if chk.ok:
-            _emit(f"identity {args.theorem} over {ctx.label()}: holds for every admissible a")
-        else:
-            _emit(
-                f"identity {args.theorem} over {ctx.label()}: FAILS at a={fmt_elem(chk.failing_a)}"
-            )
-    return EXIT_OK if chk.ok else EXIT_MISMATCH
+    failing = fmt_elem(chk.failing_a) if chk.failing_a is not None else None
+    doc = {"kind": "resultant", "field": ctx.label(), "theorem": args.theorem, "ok": chk.ok, "failing_a": failing}
+    verdict = "holds for every admissible a" if chk.ok else f"FAILS at a={failing}"
+    return doc, [f"identity {args.theorem} over {ctx.label()}: {verdict}"], chk.ok
 
 
-def _cmd_count_points(args) -> int:
+def _cmd_count_points(args):
     ctx = _field(args)
-    a3 = parse_elem(ctx, args.a3)
-    a2 = parse_elem(ctx, args.a2)
-    a1 = parse_elem(ctx, args.a1)
-    curve = point_count_curve(ctx, a3, a2, a1)
-    count = count_bivariate_zeros(curve)
+    a3, a2, a1 = (parse_elem(ctx, s) for s in (args.a3, args.a2, args.a1))
+    count = count_bivariate_zeros(point_count_curve(ctx, a3, a2, a1))
     bound = point_count_lower_bound(ctx.n)
     ok = count >= bound
-    if _fmt(args) == "json":
-        _emit(
-            _json(
-                {
-                    "kind": "count_points",
-                    "field": ctx.label(),
-                    "a3": fmt_elem(a3),
-                    "a2": fmt_elem(a2),
-                    "a1": fmt_elem(a1),
-                    "count": count,
-                    "lower_bound": bound,
-                    "ok": ok,
-                }
-            )
-        )
-    else:
-        _emit(f"curve points over {ctx.label()}: {count} (lower bound {bound})")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    doc = {
+        "kind": "count_points",
+        "field": ctx.label(),
+        "a3": fmt_elem(a3),
+        "a2": fmt_elem(a2),
+        "a1": fmt_elem(a1),
+        "count": count,
+        "lower_bound": bound,
+        "ok": ok,
+    }
+    return doc, [f"curve points over {ctx.label()}: {count} (lower bound {bound})"], ok
 
 
 _LEMMA_ENGINES = {
@@ -265,28 +200,19 @@ _LEMMA_ENGINES = {
 }
 
 
-def _cmd_lemma(args) -> int:
+def _cmd_lemma(args):
     ctx = _field(args)
     rep = _LEMMA_ENGINES[args.which](ctx)
-    if _fmt(args) == "json":
-        _emit(
-            _json(
-                {
-                    "kind": "lemma",
-                    "field": ctx.label(),
-                    "which": args.which,
-                    "checked": rep.checked,
-                    "mismatches": [[fmt_elem(v) for v in t] for t in rep.mismatches],
-                    "ok": rep.ok,
-                }
-            )
-        )
-    else:
-        _emit(
-            f"lemma {args.which} over {ctx.label()}: {rep.checked} inputs, "
-            f"{len(rep.mismatches)} mismatches"
-        )
-    return EXIT_OK if rep.ok else EXIT_MISMATCH
+    doc = {
+        "kind": "lemma",
+        "field": ctx.label(),
+        "which": args.which,
+        "checked": rep.checked,
+        "mismatches": [[fmt_elem(v) for v in t] for t in rep.mismatches],
+        "ok": rep.ok,
+    }
+    line = f"lemma {args.which} over {ctx.label()}: {rep.checked} inputs, {len(rep.mismatches)} mismatches"
+    return doc, [line], rep.ok
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_defaults(args) -> None:
-    if getattr(args, "command", None) == "search" and args.dedupe is None:
-        args.dedupe = "none" if args.shape == "degree5" else "qm"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    _apply_defaults(args)
     try:
-        return args.fn(args)
+        doc, lines, ok = args.fn(args)
     except ValueError as exc:
         _diag(f"error: {exc}")
         return EXIT_USAGE
@@ -382,6 +302,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         _diag("interrupted")
         return EXIT_USAGE
+    sys.stdout.write((json.dumps(doc, indent=2) if _fmt(args) == "json" else "\n".join(lines)) + "\n")
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------

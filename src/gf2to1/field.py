@@ -14,6 +14,8 @@ as lowercase hex of their bit value.
 
 from __future__ import annotations
 
+import re
+
 MIN_DEGREE = 2
 MAX_DEGREE = 32
 # Fields up to this degree keep log/antilog tables, about 380 KB at n = 12
@@ -33,6 +35,7 @@ __all__ = [
     "field_from_label",
     "fmt_elem",
     "parse_elem",
+    "read_int",
     "smallest_irreducible",
     "irreducible_factor_degree",
 ]
@@ -373,19 +376,32 @@ def fmt_elem(x: int) -> str:
     return format(x, "#x")
 
 
+def read_int(s: str, base: int, what: str) -> int:
+    """The number s in base 16 or 10, read strictly.
+
+    Hex is an optional 0x or 0X and then [0-9a-fA-F]+, decimal is [0-9]+, both
+    ASCII only.  int() alone also takes signs, underscores, other scripts'
+    digits and surrounding whitespace, and would read 'x^1_0' as x^10; any
+    text outside the grammar raises ValueError naming what and s.
+    """
+    digits = "(?:0[xX])?[0-9a-fA-F]+" if base == 16 else "[0-9]+"
+    if re.fullmatch(digits, s):
+        return int(s, base)
+    if s.startswith("-") and re.fullmatch(digits, s[1:]):
+        raise ValueError(f"{what} {s} is negative")
+    raise ValueError(f"bad {what} {s!r}")
+
+
 def parse_elem(ctx: FieldCtx, s: str) -> int:
-    v = int(s, 16)
-    if not 0 <= v < ctx.order:
+    v = read_int(s, 16, "element")
+    if v >= ctx.order:
         raise ValueError(f"element {s} out of range for {ctx.label()}")
     return v
 
 
 def field_from_label(label: str) -> FieldCtx:
     """Parse 'gf2_N/0xMOD' back into a context."""
-    try:
-        head, mod = label.split("/")
-        n = int(head.removeprefix("gf2_"))
-        modulus = int(mod, 16)
-    except (ValueError, AttributeError) as exc:
-        raise ValueError(f"bad field label {label!r}, expected gf2_N/0xMOD") from exc
-    return FieldCtx(n, modulus)
+    parts = label.split("/") if isinstance(label, str) else ()
+    if len(parts) != 2 or not parts[0].startswith("gf2_"):
+        raise ValueError(f"bad field label {label!r}, expected gf2_N/0xMOD")
+    return FieldCtx(read_int(parts[0][4:], 10, "degree"), read_int(parts[1], 16, "modulus"))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .field import FieldCtx, fmt_elem
+from .field import FieldCtx, fmt_elem, read_int
 
 BIVAR_SCAN_MAX_N = 12
 DENSE_DEGREE_CAP = 1 << 16
@@ -505,19 +505,16 @@ def _parse_factor(tok: str):
     tok = tok.strip()
     if not tok:
         raise ValueError("empty factor in polynomial text")
-    if tok.startswith("0x") or tok.startswith("0X"):
-        return ("coeff", int(tok, 16))
-    var = tok[0]
-    if var not in ("x", "y"):
-        raise ValueError(f"bad factor {tok!r} in polynomial text")
-    if tok == var:
-        return (var, 1)
-    if not tok.startswith(var + "^"):
-        raise ValueError(f"bad factor {tok!r} in polynomial text")
-    e = int(tok[2:], 10)
-    if e < 0:
-        raise ValueError(f"negative exponent in {tok!r}")
-    return (var, e)
+    if tok in ("x", "y"):
+        return (tok, 1)
+    try:
+        if tok[:2] in ("0x", "0X"):
+            return ("coeff", read_int(tok, 16, "coefficient"))
+        if tok[:2] in ("x^", "y^"):
+            return (tok[0], read_int(tok[2:], 10, "exponent"))
+        raise ValueError("expected 0xC, x, y, x^K or y^K")
+    except ValueError as exc:
+        raise ValueError(f"bad factor {tok!r} in polynomial text: {exc}") from None
 
 
 def _parse_terms(ctx: FieldCtx, text: str):

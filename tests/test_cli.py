@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -85,6 +87,8 @@ class TestFamily:
         code, _, err = run(capsys, "family", "quad_12", "--n", "12")
         assert code == 2
         assert "m not congruent to 1 mod 3" in err
+        code, _, err = run(capsys, "family", "tri_I", "--n", "5")
+        assert err == "error: family tri_I is not admissible: requires even n >= 4, got n=5\n"
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "family", "quad_99", "--n", "3")
@@ -344,3 +348,137 @@ class TestUsage:
     def test_unknown_document_kind(self):
         with pytest.raises(ValueError):
             parse_document(json.dumps({"kind": "mystery"}))
+
+
+def _masked_sha256(out: str) -> str:
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    out = re.sub(r", \d+ ms$", ", 0 ms", out, flags=re.M)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+# argv, exit code, SHA-256 of the masked stdout: the full stdout of every
+# subcommand in text and json, and of search in csv, pinned byte for byte.
+RENDERINGS = [
+    ("check x^6+x^4+x^3+x --n 5", 0, "a046b1854b693bdcc3dd9a69f10c4359ba5205e902379b033a3102afbbfee07b"),
+    (
+        "check x^6+x^4+x^3+x --n 5 --format json",
+        0,
+        "750e877d7d5ad668388cb80cf9e90ac4996b67d32a209ebb095685ef29c751c7",
+    ),
+    ("check x^3 --n 3", 1, "52c0503587112be12bd1a791acacba73f3d20074bc3a88e4ef3f303445f3a6f0"),
+    ("check x^3 --n 3 --format json", 1, "d6ecb31e846ad76ec1e73ca5b254cf7f4924de931b4d7f99146190fdd0e51add"),
+    ("family tri_II --n 6", 0, "132d3791fe731bdb0351bf13c1ce48d134e4944a6d7476b5828c8887f31300fb"),
+    (
+        "family tri_I --n 4 --param 0x3 --format json",
+        0,
+        "72ca61380af679ae2731a1727c03e4d4251aa7127cfbbf57bee7044534504999",
+    ),
+    (
+        "search --shape trinomial --n 4 --workers 1",
+        0,
+        "4d5774da0f6a34deaa0d1c895bae91da72e5d2a5268c58190680f40dcf8ab3df",
+    ),
+    (
+        "search --shape degree5 --n 3 --workers 1 --format json",
+        0,
+        "122a786b855ec400b17f41bef1ae8c39d2ae50824c03d15e352e86470d4ab019",
+    ),
+    (
+        "search --shape binomial --n 4 --workers 1 --format csv",
+        0,
+        "5e78489ae21a26d4fe77007d009880e249fd1ae6d65823a787f4bcda920df71d",
+    ),
+    ("tables --which I --workers 1", 0, "fc1ad0bb8bc2a7c0bb5a8921af6c3ad02a5f476a8d0c4f0b2733772a2e2ef9b7"),
+    (
+        "tables --which II --n-max 4 --workers 1 --format json",
+        0,
+        "c4fd77c8ab37c2ac003c879f400907d3adfa09a721ae0cbf3121b84b8deb01d6",
+    ),
+    (
+        "tables --which III --n-max 4 --workers 1",
+        0,
+        "7107c385a590844a4a38197e9fe57c30c10768bd06c70f7ca9671bd8ff50cda5",
+    ),
+    ("resultant --theorem 4 --n 5", 0, "1dff67f2e6cf1da1ac5d121da06d7d7570a3e287510deb7a8edd9c2743d4db05"),
+    (
+        "resultant --theorem 3 --n 5 --format json",
+        0,
+        "2a8b68cfa83be9ba39a3b7048bda47eea54d4dbe6631242940b09468024dd434",
+    ),
+    (
+        "count-points --a3 0x1 --a2 0x2 --a1 0x7 --n 3",
+        0,
+        "25ee9e8ba7f6526ea5f2f1095f8d87c4eefad0a305a9adfe878dfc18e10335ca",
+    ),
+    (
+        "count-points --a3 0x1 --a2 0x2 --a1 0x7 --n 3 --format json",
+        0,
+        "3f583d8605ed9505ec1610c99ba0a0b341dbeedfe762f1548c04429f90204f90",
+    ),
+    ("lemma --which 2.4 --n 3", 0, "d23ebd6ec575244be2500cc2af67e477670e295b731e403227128167746d6bb1"),
+    (
+        "lemma --which 2.6 --n 4 --format json",
+        0,
+        "2c6123aeb5c282e6843909eea9bb6efffb0a387f93dbeb281ef1ee891e214286",
+    ),
+    (
+        "search --shape quadrinomial --n 3 --workers 1",
+        0,
+        "f4e5dd56e8fa5fac53c7f4422df81dc1cfe40703afc34a10616fcd665711cc4f",
+    ),
+    ("family deg5_row_22 --n 3 --param 5", 0, "a47cc30b77ac6f65c2aa8f4d4048cdf67743c7e1e455924efdcdf75a69ceaacf"),
+]
+
+
+class TestRenderings:
+    @pytest.mark.parametrize("argv,code,digest", RENDERINGS, ids=[r[0] for r in RENDERINGS])
+    def test_stdout_digest(self, capsys, argv, code, digest):
+        got, out, _ = run(capsys, *shlex.split(argv))
+        assert (got, _masked_sha256(out)) == (code, digest)
+
+
+class TestUsageErrorShape:
+    """Past argparse, every usage error is one 'error: ' line on stderr,
+    nothing on stdout, and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("family", "tri_I", "--n", "5"),
+            ("tables", "--which", "II", "--n-max", "7", "--workers", "1"),
+            ("check", "x^3", "--n", "3", "--modulus", "0x9"),
+            ("family", "tri_I", "--n", "4", "--param", "0x0"),
+            ("search", "--shape", "binomial", "--n", "3", "--workers", "0"),
+            ("lemma", "--which", "2.6", "--n", "9"),
+            ("count-points", "--a3", "0x9", "--a2", "0x0", "--a1", "0x0", "--n", "3"),
+            ("resultant", "--theorem", "2", "--n", "4"),
+        ],
+        ids=["inadmissible-family", "n-max-without-long", "modulus", "param", "workers", "lemma-cap",
+             "element-range", "resultant-even-n"],
+    )
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+class TestStrictNumbers:
+    """Numbers int() would read but the grammar forbids are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("check", "x^1_0", "--n", "3"), "bad factor 'x^1_0' in polynomial text"),
+            (("check", "0x_1*x^3+x", "--n", "3"), "bad factor '0x_1' in polynomial text"),
+            (("check", "x^ 3", "--n", "3"), "bad factor 'x^ 3' in polynomial text"),
+            (("check", "x^+3 + x", "--n", "3"), "bad factor 'x^' in polynomial text"),
+            (("family", "tri_I", "--n", "4", "--param", "0x_3"), "bad element '0x_3'"),
+            (("check", "x^3", "--n", "3", "--modulus", "0x1_3"), "bad modulus '0x1_3'"),
+        ],
+        ids=["exponent-underscore", "coefficient-underscore", "exponent-space", "exponent-sign", "param",
+             "modulus"],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from gf2to1.field import (
     irreducible_factor_degree,
     make_field,
     parse_elem,
+    read_int,
     smallest_irreducible,
 )
 
@@ -416,3 +418,61 @@ class TestSerialization:
     def test_elem_out_of_range(self):
         with pytest.raises(ValueError):
             parse_elem(make_field(3), "0x9")
+
+
+class TestStrictNumbers:
+    """read_int takes only [0-9]+ in base 10 and an optional 0x/0X then
+    [0-9a-fA-F]+ in base 16, ASCII only; int() alone takes more."""
+
+    @pytest.mark.parametrize(
+        "s,base,value",
+        [("0xb", 16, 11), ("0XB", 16, 11), ("b", 16, 11), ("00", 16, 0), ("10", 10, 10), ("007", 10, 7)],
+    )
+    def test_accepted(self, s, base, value):
+        assert read_int(s, base, "number") == value
+
+    @pytest.mark.parametrize(
+        "s,base",
+        [
+            ("0x_b", 16),
+            ("0x1_3", 16),
+            (" 0xb", 16),
+            ("0xb\n", 16),
+            ("+0xb", 16),
+            ("0x", 16),
+            ("", 16),
+            ("0xg", 16),
+            ("1_0", 10),
+            (" 3", 10),
+            ("+3", 10),
+            ("0x3", 10),
+            ("\u0663", 10),  # ARABIC-INDIC DIGIT THREE
+            ("", 10),
+        ],
+    )
+    def test_rejected_naming_the_token(self, s, base):
+        with pytest.raises(ValueError, match=re.escape(f"bad number {s!r}")):
+            read_int(s, base, "number")
+
+    def test_minus_reads_as_negative(self):
+        with pytest.raises(ValueError, match="modulus -0xb is negative"):
+            read_int("-0xb", 16, "modulus")
+
+    @pytest.mark.parametrize("s", ["0x_3", "0x 3", "+0x3", "3_"])
+    def test_parse_elem(self, s):
+        with pytest.raises(ValueError, match=re.escape(f"bad element {s!r}")):
+            parse_elem(make_field(3), s)
+
+    @pytest.mark.parametrize(
+        "label,message",
+        [
+            ("gf2_3/0x_b", "bad modulus '0x_b'"),
+            ("gf2_3/0xb ", "bad modulus '0xb '"),
+            ("gf2_+3/0xb", "bad degree '+3'"),
+            ("gf2_3_/0xb", "bad degree '3_'"),
+            ("3/0xb", "bad field label '3/0xb'"),
+        ],
+    )
+    def test_field_from_label(self, label, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field_from_label(label)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -320,6 +321,21 @@ class TestGrammar:
             parse_poly(F8, "")
         with pytest.raises(ValueError):
             parse_poly(F8, "0x9*x")  # coefficient out of range
+
+    @pytest.mark.parametrize(
+        "text,factor",
+        [
+            ("x^1_0", "x^1_0"),  # int() reads x^10
+            ("0x_1*x^3+x", "0x_1"),  # int() reads 0x1
+            ("x^ 3", "x^ 3"),  # int() reads x^3
+            ("x^+3 + x", "x^"),
+            ("x^-3", "x^-3"),
+            ("x^\u0663", "x^\u0663"),  # ARABIC-INDIC DIGIT THREE, int() reads x^3
+        ],
+    )
+    def test_strict_number_grammar(self, text, factor):
+        with pytest.raises(ValueError, match=re.escape(f"bad factor {factor!r} in polynomial text")):
+            parse_poly(F8, text)
 
 
 class TestScalarComparison:
