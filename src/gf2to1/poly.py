@@ -267,9 +267,9 @@ def equal_up_to_scalar(p: DensePoly, q: DensePoly) -> bool:
 
 
 def sylvester_matrix(u, v, zero):
-    """Sylvester matrix of u, v given as coefficient lists ascending by degree.
+    """Sylvester matrix of u, v given as DensePoly coefficient lists ascending
+    by degree; zero is the zero DensePoly, and resultant passes constants.
 
-    Entries are whatever the coefficient type is (field ints or DensePoly);
     u rows are repeated deg(v) times, v rows deg(u) times.
     """
     m, n = len(u) - 1, len(v) - 1
@@ -283,31 +283,6 @@ def sylvester_matrix(u, v, zero):
     return rows
 
 
-def _det_field(ctx: FieldCtx, rows: list[list[int]]) -> int:
-    """Determinant over the field by Gaussian elimination (char 2: no signs)."""
-    size = len(rows)
-    det = 1
-    for k in range(size):
-        piv = next((i for i in range(k, size) if rows[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-        pk = rows[k][k]
-        det = ctx.mul(det, pk)
-        inv = ctx.inv(pk)
-        mul = ctx.mul
-        for i in range(k + 1, size):
-            f = rows[i][k]
-            if f == 0:
-                continue
-            f = mul(f, inv)
-            ri, rk = rows[i], rows[k]
-            for j in range(k, size):
-                ri[j] ^= mul(f, rk[j])
-    return det
-
-
 def resultant(u: DensePoly, v: DensePoly) -> int:
     """Sylvester resultant of two nonzero polynomials over the field.
 
@@ -319,10 +294,8 @@ def resultant(u: DensePoly, v: DensePoly) -> int:
     m, n = u.degree, v.degree
     if m == 0:
         return ctx.pow(u.coeffs[0], n)
-    if n == 0:
-        return ctx.pow(v.coeffs[0], m)
-    rows = sylvester_matrix(list(u.coeffs), list(v.coeffs), 0)
-    return _det_field(ctx, rows)
+    u_col, v_col = ([DensePoly.const(ctx, c) for c in w.coeffs] for w in (u, v))
+    return _det_bareiss(ctx, sylvester_matrix(u_col, v_col, DensePoly.zero(ctx))).coeff(0)
 
 
 def _det_bareiss(ctx: FieldCtx, rows: list[list[DensePoly]]) -> DensePoly:

@@ -1,6 +1,6 @@
 """The 2-to-1 verifier, equivalence machinery, constructive families and
-pointwise checks of the elimination identities behind the quadrinomial
-families.
+pointwise checks of the elimination identities behind quad_01..06, whose
+relation pairs are derived from the lift table that builds those families.
 
 A mapping f on GF(2^n) is 2-to-1 when every fiber has size 0 or 2 (a
 half-size image is necessary but not sufficient: fiber profiles like
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 
 from .field import FieldCtx, linear_table
 from .poly import (
@@ -425,34 +425,26 @@ def _deg5_family(exp: int):
     return build
 
 
-def _quad01(n):
-    m1 = 1 << ((n + 1) // 2)  # 2^(m+1) for n = 2m+1
-    return (m1 + 2, m1, 2, 1)
+# quad_01..06 for n = 2m+1: (i, j) is the monomial x^i * y^j, y = x^(2^(m+1)),
+# a negative power an inverse.  make_family reads the exponents off this table,
+# and the elimination identities below derive their relation pairs from it.
+_QUAD_LIFTS = {
+    1: ((2, 1), (0, 1), (2, 0), (1, 0)),
+    2: ((2, 1), (1, 1), (2, 0), (1, 0)),
+    3: ((4, 2), (2, 1), (2, 0), (1, 0)),
+    4: ((3, -1), (0, 1), (2, 0), (1, 0)),
+    5: ((-1, 0), (1, -1), (-1, -1), (1, 0)),
+    6: ((-1, 0), (1, -1), (-1, 1), (1, 0)),
+}
 
 
-def _quad02(n):
-    m1 = 1 << ((n + 1) // 2)
-    return (m1 + 2, m1 + 1, 2, 1)
+def _lift_exps(t: int):
+    def exps_of(n):
+        m1 = 1 << ((n + 1) // 2)  # 2^(m+1) for n = 2m+1
+        es = (i + j * m1 for i, j in _QUAD_LIFTS[t])
+        return tuple(e if e > 0 else e + (1 << n) - 1 for e in es)
 
-
-def _quad03(n):
-    m1 = 1 << ((n + 1) // 2)
-    return (2 * m1 + 4, m1 + 2, 2, 1)
-
-
-def _quad04(n):
-    m1 = 1 << ((n + 1) // 2)
-    return ((1 << n) - m1 + 2, m1, 2, 1)
-
-
-def _quad05(n):
-    m1 = 1 << ((n + 1) // 2)
-    return ((1 << n) - 2, (1 << n) - m1, (1 << n) - m1 - 2, 1)
-
-
-def _quad06(n):
-    m1 = 1 << ((n + 1) // 2)
-    return ((1 << n) - 2, (1 << n) - m1, m1 - 1, 1)
+    return exps_of
 
 
 def _quad07(n):
@@ -480,12 +472,12 @@ _FAMILIES: dict[str, tuple] = {
     ),
     "tri_I": (_even_ge4, _tri_1),
     "tri_II": (_n2m_modd, _tri_2),
-    "quad_01": (_odd, _quad(_quad01)),
-    "quad_02": (_odd, _quad(_quad02)),
-    "quad_03": (_odd, _quad(_quad03)),
-    "quad_04": (_odd, _quad(_quad04)),
-    "quad_05": (_odd, _quad(_quad05)),
-    "quad_06": (_odd, _quad(_quad06)),
+    "quad_01": (_odd, _quad(_lift_exps(1))),
+    "quad_02": (_odd, _quad(_lift_exps(2))),
+    "quad_03": (_odd, _quad(_lift_exps(3))),
+    "quad_04": (_odd, _quad(_lift_exps(4))),
+    "quad_05": (_odd, _quad(_lift_exps(5))),
+    "quad_06": (_odd, _quad(_lift_exps(6))),
     "quad_07": (_odd, _quad(_quad07)),
     "quad_08": (_odd, _quad(lambda n: ((1 << n) - 2, (1 << n) - 4, 3, 1))),
     "quad_09": (_odd, _quad(lambda n: (6, 4, 3, 1))),
@@ -590,11 +582,12 @@ def point_count_lower_bound(n: int) -> int:
 # ---------------------------------------------------------------------------
 # elimination identities behind the quadrinomial families 1..6
 #
-# Each family proof eliminates y (= x^(2^(m+1)) linked to x) from a pair of
-# bivariate relations F, G derived from f(x+a) + f(a) = 0 and its Frobenius
-# image.  The closed-form eliminants are pinned here, with exact factor
-# multiplicities confirmed against both the fraction-free and the cofactor
-# determinant; identities 1 and 2 carry (x+a+1) squared.
+# Each family proof eliminates y = x^(2^(m+1)) from F, the lift of
+# f(x+a) + f(a) = 0, and G, its Frobenius image.  F and G are derived from
+# _QUAD_LIFTS; only the closed-form eliminants, the paper's result, are
+# pinned, with exact factor multiplicities confirmed against both the
+# fraction-free and the cofactor determinant; identities 1 and 2 carry
+# (x+a+1) squared.
 
 
 @dataclass(frozen=True)
@@ -608,13 +601,61 @@ class IdentityCheck:
         return self.ok
 
 
-def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
-    m = (ctx.n - 1) // 2
-    b = ctx.pow(a, 1 << (m + 1))
+def _columns(mono) -> list:
+    """cols[l][k]: the (u, v) of each monomial x^k y^l a^u b^v in mono."""
+    cols = [[[] for _ in range(1 + max(m[0] for m in mono))] for _ in range(1 + max(m[1] for m in mono))]
+    for k, l, u, v in mono:
+        cols[l][k].append((u, v))
+    return cols
+
+
+def _relation_pair(lift) -> tuple[list, list]:
+    """The _columns of F and G for one lift, over GF(2)[a, b].
+
+    F = (f(x+a, y+b) + f(a, b)) (x+a)^p (y+b)^q a^p b^q; p and q clear the
+    lift's negative x- and y-powers, so F takes only sums and products.
+    G is F under z -> z^(2^(m+1)), which sends x, y, a, b to y, x^2, b, a^2.
+    """
+    p = -min(0, *(i for i, _ in lift))
+    q = -min(0, *(j for _, j in lift))
+    mono = set()
+    for i, j in lift:
+        # (x+a)^I (y+b)^J a^s b^t for the shifted term, then for f(a, b)'s;
+        # by Lucas' theorem C(I, k) is odd exactly when k is a submask of I
+        for I, J, s, t in ((i + p, j + q, p, q), (p, q, i + p, j + q)):
+            for k, l in product(range(I + 1), range(J + 1)):
+                if k | I == I and l | J == J:
+                    mono ^= {(k, l, I - k + s, J - l + t)}
+    return _columns(mono), _columns({(2 * l, k, 2 * v, u) for k, l, u, v in mono})
+
+
+_RELATIONS = {t: _relation_pair(lift) for t, lift in _QUAD_LIFTS.items()}
+
+
+def _specialize(ctx: FieldCtx, cols: list, a: int, b: int) -> BivarPoly:
     mul, pw = ctx.mul, ctx.pow
-    a2, a3, a4, a6 = pw(a, 2), pw(a, 3), pw(a, 4), pw(a, 6)
-    b2, b3, b4 = pw(b, 2), pw(b, 3), pw(b, 4)
-    ab = mul(a, b)
+
+    def coeff(monos):
+        c = 0
+        for u, v in monos:
+            c ^= mul(pw(a, u), pw(b, v))
+        return c
+
+    return BivarPoly.make(ctx, [[coeff(monos) for monos in col] for col in cols])
+
+
+def _elimination_pair(theorem: int, ctx: FieldCtx, a: int, b: int):
+    """(F, G, closed) of quadrinomial family 1..6 at the point (a, b): the
+    relation pair derived from the family's lift and the pinned eliminant.
+
+    The families have b = a^(2^(m+1)); the tests also check
+    Res_y(F, G) ~ closed at b independent of a.
+    """
+    if theorem not in _RELATIONS:
+        raise ValueError(f"identity {theorem} unknown; expected 1..{len(_RELATIONS)}")
+    F, G = (_specialize(ctx, rel, a, b) for rel in _RELATIONS[theorem])
+    mul, pw = ctx.mul, ctx.pow
+    a2, a3, b2, ab = pw(a, 2), pw(a, 3), pw(b, 2), mul(a, b)
 
     def D(*coeffs):
         return DensePoly.make(ctx, coeffs)
@@ -623,8 +664,6 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
         return DensePoly.make(ctx, (c0, c1))
 
     if theorem == 1:
-        F = BivarPoly.make(ctx, [D(0, 1, b ^ 1), D(a2 ^ 1, 0, 1)])
-        G = BivarPoly.make(ctx, [D(0, 0, b2 ^ 1), D(1), D(a2 ^ 1, 0, 1)])
         closed = [
             lin(1, 0),
             lin(1, a ^ 1),
@@ -632,8 +671,6 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
             lin(mul(a2, b2) ^ a2 ^ b2 ^ b ^ 1, 1),
         ]
     elif theorem == 2:
-        F = BivarPoly.make(ctx, [D(0, b ^ 1, b ^ 1), D(a2 ^ a, 1, 1)])
-        G = BivarPoly.make(ctx, [D(0, 0, b2 ^ b), D(a2 ^ 1, 0, 1), D(a2 ^ 1, 0, 1)])
         closed = [
             D(mul(a ^ 1, b ^ 1)),
             lin(1, 0),
@@ -642,17 +679,6 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
             lin(ab ^ a ^ b, a),
         ]
     elif theorem == 3:
-        F = BivarPoly.make(ctx, [D(0, 1, b ^ 1, 0, b2), D(a2, 0, 1), D(a4, 0, 0, 0, 1)])
-        G = BivarPoly.make(
-            ctx,
-            [
-                D(0, 0, b2, 0, b4),
-                D(1),
-                D(a2 ^ 1, 0, 1),
-                DensePoly.zero(ctx),
-                D(a4, 0, 0, 0, 1),
-            ],
-        )
         closed = (
             [lin(1, 0)] * 2
             + [lin(1, a)] * 8
@@ -661,23 +687,6 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
             + [lin(mul(a2, b2) ^ b ^ 1, 1)] * 2
         )
     elif theorem == 4:
-        F = BivarPoly.make(
-            ctx,
-            [
-                D(0, mul(a2, b) ^ b2, ab ^ b2, b),
-                D(a3 ^ b2, b, b),
-                D(b),
-            ],
-        )
-        G = BivarPoly.make(
-            ctx,
-            [
-                D(0, 0, a4 ^ b3, 0, a2),
-                D(mul(b2, a2) ^ a4, 0, a2),
-                D(mul(a2, b) ^ a4, 0, a2),
-                D(a2),
-            ],
-        )
         closed = [
             D(mul(pw(a ^ b, 3), pw(a2 ^ b, 2))),
             lin(1, 0),
@@ -688,21 +697,6 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
             lin(ab, a3 ^ ab ^ b2),
         ]
     elif theorem == 5:
-        F = BivarPoly.make(
-            ctx,
-            [
-                D(0, mul(a2, b2) ^ mul(a2, b) ^ b2 ^ b, mul(a, b2) ^ ab),
-                D(a3 ^ a, mul(a2, b) ^ a2 ^ b ^ 1, ab),
-            ],
-        )
-        G = BivarPoly.make(
-            ctx,
-            [
-                D(0, 0, b3 ^ b),
-                D(mul(a4, b2) ^ mul(a2, b2) ^ a4 ^ a2, 0, mul(a2, b2) ^ b2 ^ a2 ^ 1),
-                D(mul(a4, b) ^ mul(a2, b), 0, mul(a2, b)),
-            ],
-        )
         closed = [
             D(mul(ab, mul(pw(a ^ 1, 2), pw(b ^ 1, 2)))),
             lin(1, 0),
@@ -712,23 +706,7 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
             lin(1, a ^ 1),
             lin(ab, mul(a2, b) ^ a2 ^ b ^ 1),
         ]
-    elif theorem == 6:
-        F = BivarPoly.make(
-            ctx,
-            [
-                D(0, mul(a2, b2) ^ mul(a2, b) ^ b3 ^ b2, mul(a, b2) ^ ab),
-                D(a3 ^ mul(a, b2), mul(a2, b) ^ a2 ^ b2 ^ b, ab),
-                D(ab),
-            ],
-        )
-        G = BivarPoly.make(
-            ctx,
-            [
-                D(0, 0, b3 ^ mul(a4, b), 0, mul(a2, b)),
-                D(mul(a4, b2) ^ mul(a2, b2) ^ a6 ^ a4, 0, mul(a2, b2) ^ b2 ^ a4 ^ a2),
-                D(mul(a4, b) ^ mul(a2, b), 0, mul(a2, b)),
-            ],
-        )
+    else:  # theorem 6
         closed = (
             [D(mul(a2, b2))]
             + [lin(1, 0)] * 2
@@ -737,26 +715,23 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int):
             + [lin(a, a2 ^ 1)] * 2
             + [lin(a, a2 ^ b)] * 2
         )
-    else:
-        raise ValueError(f"identity {theorem} unknown; expected 1..6")
     return F, G, poly_product(ctx, closed)
 
 
-ELIMINATION_IDENTITIES = (1, 2, 3, 4, 5, 6)
+ELIMINATION_IDENTITIES = tuple(_QUAD_LIFTS)
 
 
 def verify_resultant_identity(theorem: int, ctx: FieldCtx) -> IdentityCheck:
     """Pointwise check of the closed-form eliminant for quadrinomial family
     1..6: for every a outside {0, 1} (the degenerate values the derivations
-    exclude), the Sylvester eliminant of the pair (F, G) must equal the pinned
-    product up to a nonzero scalar.
+    exclude) and b = a^(2^(m+1)), the Sylvester eliminant of the derived pair
+    (F, G) must equal the pinned product up to a nonzero scalar.
     """
     if ctx.n % 2 == 0 or ctx.n > 9:
         raise ValueError(f"identity checks run over odd n <= 9, got n={ctx.n}")
-    for a in ctx.elements():
-        if a in (0, 1):
-            continue
-        F, G, closed = _elimination_pair(theorem, ctx, a)
+    m1 = 1 << ((ctx.n + 1) // 2)
+    for a in range(2, ctx.order):
+        F, G, closed = _elimination_pair(theorem, ctx, a, ctx.pow(a, m1))
         if not equal_up_to_scalar(resultant_eliminate(F, G), closed):
             return IdentityCheck(theorem, ctx.n, False, a)
     return IdentityCheck(theorem, ctx.n, True)

@@ -1,11 +1,21 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from gf2to1 import two2one
 from gf2to1.field import LOG_TABLE_MAX_N, make_field
-from gf2to1.poly import SparsePoly, count_bivariate_zeros, reduce_exponents, resultant_eliminate
+from gf2to1.poly import (
+    DensePoly,
+    SparsePoly,
+    count_bivariate_zeros,
+    equal_up_to_scalar,
+    reduce_exponents,
+    resultant_eliminate,
+)
 from gf2to1.two2one import (
+    ELIMINATION_IDENTITIES,
     FAMILY_TAGS,
     admissible_family_tags,
     alpha_roots,
@@ -468,9 +478,59 @@ class TestEliminationIdentities:
     def test_identity_one_carries_squared_factor(self):
         # the eliminant has degree 4: x * (x+a+1)^2 * (linear), not degree 3
         a = F8.generator
-        F, G, closed = _elimination_pair(1, F8, a)
+        F, G, closed = _elimination_pair(1, F8, a, F8.pow(a, 4))
         elim = resultant_eliminate(F, G)
         assert elim.degree == 4 == closed.degree
+
+    @pytest.mark.parametrize("n", (3, 5, 7))
+    def test_pair_vanishes_on_the_graph_exactly_on_the_fiber(self, n):
+        # on y = x^(2^(m+1)), F and G vanish exactly where f(x+a) = f(a), f the
+        # family make_family builds; x = a is excluded, since F carries the
+        # factor (x+a)^p that clears the negative powers of quad_04..06
+        ctx = make_field(n)
+        m1 = 1 << ((n + 1) // 2)
+        for t in ELIMINATION_IDENTITIES:
+            V = value_table(make_family(f"quad_{t:02d}", ctx))
+            for a in range(2, ctx.order):
+                F, G, _ = _elimination_pair(t, ctx, a, ctx.pow(a, m1))
+                for x in ctx.elements():
+                    if x != a:
+                        y = ctx.pow(x, m1)
+                        on_fiber = V[x ^ a] == V[a]
+                        assert (F.eval(x, y) == 0) == on_fiber == (G.eval(x, y) == 0), (t, a, x)
+
+    def test_holds_at_b_independent_of_a(self):
+        ctx = make_field(11)
+        rng = random.Random(11)
+        for t in ELIMINATION_IDENTITIES:
+            for _ in range(6):
+                a, b = rng.randrange(2, ctx.order), rng.randrange(2, ctx.order)
+                F, G, closed = _elimination_pair(t, ctx, a, b)
+                assert equal_up_to_scalar(resultant_eliminate(F, G), closed), (t, a, b)
+
+    def test_fails_against_another_theorems_eliminant(self, monkeypatch):
+        pair = two2one._elimination_pair
+
+        def swapped(theorem, ctx, a, b):
+            F, G, _ = pair(4, ctx, a, b)
+            return F, G, pair(5, ctx, a, b)[2]
+
+        monkeypatch.setattr(two2one, "_elimination_pair", swapped)
+        chk = verify_resultant_identity(4, F32)
+        assert not chk.ok and chk.failing_a is not None
+
+    def test_fails_with_one_factor_perturbed(self, monkeypatch):
+        # theorem 3's product with one x+a factor changed to x+a+1
+        pair = two2one._elimination_pair
+
+        def perturbed(theorem, ctx, a, b):
+            F, G, closed = pair(theorem, ctx, a, b)
+            x_a, x_a1 = DensePoly.make(ctx, (a, 1)), DensePoly.make(ctx, (a ^ 1, 1))
+            return F, G, closed.exact_div(x_a) * x_a1
+
+        monkeypatch.setattr(two2one, "_elimination_pair", perturbed)
+        chk = verify_resultant_identity(3, F32)
+        assert not chk.ok and chk.failing_a is not None
 
     def test_even_n_rejected(self):
         with pytest.raises(ValueError, match="odd"):
