@@ -20,16 +20,15 @@ MIN_DEGREE = 2
 MAX_DEGREE = 32
 # Fields up to this degree keep log/antilog tables, about 380 KB at n = 12
 # (n = 17 would need about 11 MB); it covers every field the lemmas, the
-# identities, the point counts, the searches and QM classing use.
+# identities, the point counts, the searches and QM classing use.  Multiplying
+# by a fixed element needs no cap: mul_table is a 2^n-entry list for the small
+# fields the searches scan, and split_table two halves of about 2^(n/2)
+# entries each for the verifier's scans at every n.
 LOG_TABLE_MAX_N = 12
-# mul_table returns a list of 2^n entries up to this degree and an object that
-# multiplies on each lookup above it.
-MUL_TABLE_MAX_N = 18
 
 __all__ = [
     "FieldCtx",
     "LOG_TABLE_MAX_N",
-    "MUL_TABLE_MAX_N",
     "linear_table",
     "make_field",
     "field_from_label",
@@ -325,14 +324,24 @@ class FieldCtx:
     def nonzero(self) -> range:
         return range(1, self.order)
 
-    def mul_table(self, c: int):
-        """T with T[x] = c*x.  Up to MUL_TABLE_MAX_N a list: multiplication by a
-        fixed element is GF(2)-linear, so T is the linear_table of the n basis
-        products.  Above the cap an object that multiplies on each lookup.
+    def mul_table(self, c: int) -> list[int]:
+        """T with T[x] = c*x, a list of 2^n entries: multiplication by a fixed
+        element is GF(2)-linear, so T is the linear_table of the n basis products.
+        Sized for the small fields the searches scan; split_table serves every n.
         """
-        if self.n > MUL_TABLE_MAX_N:
-            return _MulBy(self, c)
         return linear_table([self.mul(c, 1 << b) for b in range(self.n)])
+
+    def split_table(self, c: int) -> tuple[list[int], list[int]]:
+        """(lo, hi) with c*x = lo[x & m] ^ hi[x >> h], h = ceil(n/2), m = 2^h - 1.
+
+        The split-table form of GF-Complete (Plank, Greenan and Miller, FAST
+        2013): x is the xor of its low h bits and its high n - h bits, so lo
+        and hi are the linear_tables of the first h and the last n - h of the
+        basis products mul_table closes over, 2^h and 2^(n-h) entries.
+        """
+        images = [self.mul(c, 1 << b) for b in range(self.n)]
+        h = (self.n + 1) // 2
+        return linear_table(images[:h]), linear_table(images[h:])
 
     # -- identity and serialization -------------------------------------------
 
@@ -347,14 +356,6 @@ class FieldCtx:
 
     def __hash__(self) -> int:
         return hash((self.n, self.modulus))
-
-
-class _MulBy:
-    def __init__(self, ctx: FieldCtx, c: int):
-        self.mul, self.c = ctx.mul, c
-
-    def __getitem__(self, x: int) -> int:
-        return self.mul(x, self.c)
 
 
 def make_field(n: int, modulus: int | None = None) -> FieldCtx:

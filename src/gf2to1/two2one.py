@@ -7,8 +7,10 @@ half-size image is necessary but not sufficient: fiber profiles like
 (3, 1, 2, ..., 2) also reach 2^(n-1) values).  Verification is a single pass
 over the domain with early exit on the first fiber of size 3; the domain is
 walked multiplicatively (x = g^i) so each sparse term advances by one fixed
-multiplication per point.  One kernel, fibers_two_to_one, does the counting
-for the verifier, the o-polynomial test and every search.
+multiplication per point.  The verifier steps each term with the two split
+tables of FieldCtx.split_table, about 2^(n/2) entries each, so a scan that
+exits after a few points builds little.  One kernel, fibers_two_to_one, does
+the counting for the verifier, the o-polynomial test and every search.
 """
 
 from __future__ import annotations
@@ -87,9 +89,11 @@ def fibers_two_to_one(order: int, f0: int, base, u0: int, t0, u1: int, t1) -> bo
     """The fiber kernel: whether f0 and the values base[i] ^ u0*s0^i ^ u1*s1^i
     together fill only fibers of size 0 or 2.
 
-    t0 and t1 are the step tables of the two coefficient streams (t[u] = s*u);
-    a stream that is always zero is (0, (0,)).  Returns at the first fiber of
-    size 3, so a lazy base is consumed only that far.
+    t0 and t1 are the mul_table step tables of the two coefficient streams
+    (t[u] = s*u); a stream that is always zero is (0, (0,)).  The searches
+    and the o-polynomial test pass streams here; the verifier passes its whole
+    split-table _walk as base with two zero streams.  Returns at the first
+    fiber of size 3, so a lazy base is consumed only that far.
     """
     counts = bytearray(order)
     counts[f0] = 1
@@ -104,60 +108,52 @@ def fibers_two_to_one(order: int, f0: int, base, u0: int, t0, u1: int, t1) -> bo
     return 1 not in counts
 
 
-def _streams(f: SparsePoly):
-    """Split a reduced polynomial into f(0) and one (start, step table)
-    stream per positive-exponent term.
+def _streams(f: SparsePoly, cap: int = HISTOGRAM_MAX_N, what: str = "full-domain scan"):
+    """Reduce f and split it into f(0) and one (start, lo, hi) stream per
+    positive-exponent term; raises ValueError above n = cap.
 
     The term c*x^e takes the value c*g^(i*e) at x = g^i, so advancing i is one
-    multiplication by g^e.  The constant part is also f(0): reduced positive
-    exponents vanish at 0 and exponent 0 contributes everywhere.
+    multiplication by g^e, u -> lo[u & m] ^ hi[u >> h] with the split_table
+    pair of g^e.  The constant part is also f(0): reduced positive exponents
+    vanish at 0 and exponent 0 contributes everywhere.
     """
     ctx = f.ctx
+    if ctx.n > cap:
+        raise ValueError(f"{what} capped at n={cap}, got n={ctx.n}")
     const = 0
     streams = []
-    for e, c in f.terms:
+    for e, c in reduce_exponents(f).terms:
         if e == 0:
             const ^= c
         else:
-            streams.append((c, ctx.mul_table(ctx.pow(ctx.generator, e))))
+            streams.append((c, *ctx.split_table(ctx.pow(ctx.generator, e))))
     return const, streams
-
-
-def _split(order: int, const: int, streams: list):
-    """(base, stream, stream): the last two streams, with const and any earlier
-    streams folded into base by _walk."""
-    *early, s0, s1 = [(0, (0,))] * (2 - len(streams)) + streams
-    base = _walk(order, const, early) if early else repeat(const, order - 1)
-    return base, s0, s1
 
 
 def _walk(order: int, const: int, streams: list):
     """Yield const plus every stream at x = g^i for i = 0..order-2, lazily, so
-    a scan that exits early steps no stream past the point it reached."""
-    base, (u0, t0), (u1, t1) = _split(order, const, streams)
+    a scan that exits early steps no stream past the point it reached.
+
+    Each level steps the last two streams and takes const and the earlier
+    streams from a nested walk."""
+    *early, (u0, lo0, hi0), (u1, lo1, hi1) = [(0, (0,), (0,))] * (2 - len(streams)) + streams
+    base = _walk(order, const, early) if early else repeat(const, order - 1)
+    m = len(lo1) - 1  # 2^h - 1: zero streams pad in front, so lo1 is a real stream's
+    h = m.bit_length()
     for w in base:
         yield w ^ u0 ^ u1
-        u0 = t0[u0]
-        u1 = t1[u1]
-
-
-def _budget_check(ctx: FieldCtx, cap: int, what: str) -> None:
-    if ctx.n > cap:
-        raise ValueError(f"{what} capped at n={cap}, got n={ctx.n}")
+        u0 = lo0[u0 & m] ^ hi0[u0 >> h]
+        u1 = lo1[u1 & m] ^ hi1[u1 >> h]
 
 
 def value_table(f: SparsePoly) -> list[int]:
     """V with V[x] = f(x) for every field element x."""
     ctx = f.ctx
-    _budget_check(ctx, HISTOGRAM_MAX_N, "full-domain scan")
-    const, streams = _streams(reduce_exponents(f))
-    V = [0] * ctx.order
-    V[0] = const
-    tg = ctx.mul_table(ctx.generator)
-    p = 1
-    for v in _walk(ctx.order, const, streams):
-        V[p] = v
-        p = tg[p]
+    const, streams = _streams(f)
+    V = [const] * ctx.order  # V[0] = f(0); every other entry is overwritten
+    xs = _walk(ctx.order, 0, [(1, *ctx.split_table(ctx.generator))])
+    for x, v in zip(xs, _walk(ctx.order, const, streams)):
+        V[x] = v
     return V
 
 
@@ -168,11 +164,9 @@ def preimage_histogram(f: SparsePoly) -> PreimageHistogram:
 
 def is_two_to_one(f: SparsePoly) -> bool:
     """Whether every fiber of f has size 0 or 2; early exit on a size-3 fiber."""
-    ctx = f.ctx
-    _budget_check(ctx, HISTOGRAM_MAX_N, "full-domain scan")
-    const, streams = _streams(reduce_exponents(f))
-    base, (u0, t0), (u1, t1) = _split(ctx.order, const, streams)
-    return fibers_two_to_one(ctx.order, const, base, u0, t0, u1, t1)
+    const, streams = _streams(f)
+    walk = _walk(f.ctx.order, const, streams)
+    return fibers_two_to_one(f.ctx.order, const, walk, 0, (0,), 0, (0,))
 
 
 def is_o_polynomial(f: SparsePoly) -> bool:
@@ -181,8 +175,7 @@ def is_o_polynomial(f: SparsePoly) -> bool:
     f is walked once; each a then runs as the stream a*x beside it.
     """
     ctx = f.ctx
-    _budget_check(ctx, OPOLY_MAX_N, "o-polynomial test")
-    const, streams = _streams(reduce_exponents(f))
+    const, streams = _streams(f, OPOLY_MAX_N, "o-polynomial test")
     if const != 0:
         return False
     base = list(_walk(ctx.order, 0, streams))

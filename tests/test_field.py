@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -361,6 +362,23 @@ class TestFieldAxioms:
         T = f.mul_table(c)
         for x in (0, 1, f.order - 1, f.generator):
             assert T[x] == f.mul(c, x)
+
+    @pytest.mark.parametrize("n", [*range(2, 11), 13, 17, 24, 31, 32])
+    def test_split_table_matches_shift_and_xor(self, n):
+        """lo[x & m] ^ hi[x >> h] is c*x for every x up to n = 10 and for sampled
+        x above, where the halves differ in size at odd n and the field has no
+        log tables beyond LOG_TABLE_MAX_N."""
+        f = make_field(n)
+        rng = random.Random(n)
+        h = (n + 1) // 2
+        m = (1 << h) - 1
+        xs = f.elements()
+        if n > 10:
+            xs = [0, 1, f.order - 1, *(rng.randrange(f.order) for _ in range(500))]
+        for c in (0, 1, f.generator, rng.randrange(2, f.order)):
+            lo, hi = f.split_table(c)
+            assert (len(lo), len(hi)) == (1 << h, 1 << (n - h))
+            assert [lo[x & m] ^ hi[x >> h] for x in xs] == [mul_ref(f, c, x) for x in xs]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, LOG_TABLE_MAX_N + 1])
     def test_powers_match_pow(self, n):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -140,25 +141,26 @@ class TestHistogram:
         h = preimage_histogram(f)
         assert is_two_to_one(f) == h.is_two_to_one
 
-    def test_table_free_paths_agree(self, monkeypatch):
-        import gf2to1.field as field
-
-        f = sp(F16, (12, 1), (11, 1), (1, 2))
-        o = sp(F16, (2, 1))  # an o-polynomial; f is not one
-
-        def run():
-            return (
-                value_table(f),
-                is_two_to_one(f),
-                qm_canonical(f),
-                preimage_histogram(f),
-                is_o_polynomial(o),
-                is_o_polynomial(f),
-            )
-
-        with_tables = run()
-        monkeypatch.setattr(field, "MUL_TABLE_MAX_N", 0)
-        assert run() == with_tables
+    @pytest.mark.parametrize(
+        "n, terms, verdict",
+        [
+            (14, ((3, 1),), False),  # 3 divides 2^14 - 1: a 1-fiber and 5461 fibers of size 3
+            (13, ((6, 1), (3, 1), (1, 3)), False),  # three streams, one walked by the nested level
+            (13, ((6, 1), (5, 1), (3, 1), (1, 1), (0, 1)), True),  # quad_10 + 1: four streams and f(0)
+        ],
+    )
+    def test_scans_match_literal_eval_above_log_cap(self, n, terms, verdict):
+        """Above LOG_TABLE_MAX_N every stream is stepped by split_table halves;
+        the verdict, the value table and the histogram must match a literal
+        f.eval over the whole field."""
+        assert n > LOG_TABLE_MAX_N
+        f = sp(make_field(n), *terms)
+        V = [f.eval(x) for x in f.ctx.elements()]
+        counts = Counter(V)
+        assert all(c == 2 for c in counts.values()) == verdict
+        assert is_two_to_one(f) == verdict
+        assert value_table(f) == V
+        assert preimage_histogram(f).counts == counts
 
 
 class TestIsTwoToOne:
@@ -457,6 +459,10 @@ class TestFamilies:
                 assert is_two_to_one(make_family(tag, make_field(n))), (tag, n)
         for n in range(4, 17, 2):
             assert is_two_to_one(make_family("bin_even_inv", make_field(n))), n
+
+    def test_bin_singer_verifies_at_n19(self):
+        # a 2^19-point scan, each stream stepped by split tables of 2^10 and 2^9 entries
+        assert is_two_to_one(make_family("bin_singer", make_field(19)))
 
     def test_every_family_verifies_at_smallest_admissible_n(self):
         smallest = {}
