@@ -59,40 +59,28 @@ class FactorPattern(Enum):
 def solve_artin_schreier(ctx: FieldCtx, c: int) -> int:
     """One solution of z^2 + z = c; requires trace_abs(c) = 0.
 
-    Odd n uses the half trace; even n falls back to solving the GF(2)-linear
-    system for the map z -> z^2 + z.
+    Odd n uses the half trace.  Even n uses the trace-dual sum of theta_i c^(2^i)
+    over i = 1..n-1, theta_i = delta + delta^2 + ... + delta^(2^(i-1)), with delta
+    the lowest basis element of trace 1; at delta = 1 it is the half trace.
     """
     if ctx.trace_abs(c) != 0:
         raise ValueError("z^2 + z = c is unsolvable: trace(c) = 1")
-    n = ctx.n
-    if n % 2 == 1:
+    if ctx.n % 2 == 1:
         acc = c
         t = c
-        for _ in range((n - 1) // 2):
+        for _ in range((ctx.n - 1) // 2):
             t = ctx.sqr(ctx.sqr(t))
             acc ^= t
         return acc
-    # even n: xor-combine basis images of z -> z^2 + z to hit c
-    basis: dict[int, tuple[int, int]] = {}
-    for j in range(n):
-        v = ctx.sqr(1 << j) ^ (1 << j)
-        mask = 1 << j
-        while v:
-            p = v.bit_length() - 1
-            if p in basis:
-                bv, bm = basis[p]
-                v ^= bv
-                mask ^= bm
-            else:
-                basis[p] = (v, mask)
-                break
-    v, mask = c, 0
-    while v:
-        p = v.bit_length() - 1
-        bv, bm = basis[p]
-        v ^= bv
-        mask ^= bm
-    return mask
+    delta = 1
+    while not ctx.trace_abs(delta):
+        delta <<= 1
+    z, theta, t = 0, delta, c
+    for _ in range(ctx.n - 1):
+        t = ctx.sqr(t)
+        z ^= ctx.mul(theta, t)
+        theta = ctx.sqr(theta) ^ delta
+    return z
 
 
 def quadratic_solutions(ctx: FieldCtx, u: int, v: int) -> set[int]:
@@ -131,7 +119,13 @@ def cubic_has_unique_root(ctx: FieldCtx, a: int, b: int) -> bool:
 # quartics
 
 
-def _classify_quartic(ctx: FieldCtx, a0: int, scaled_roots: list[int], trace) -> FactorPattern:
+def _resolvent_scaled(ctx: FieldCtx, a1: int, roots) -> list[int]:
+    """r^2 / a1^2 over the sorted field roots r of the resolvent y^3 + a2 y + a1."""
+    scale = ctx.inv(ctx.sqr(a1))
+    return [ctx.mul(ctx.sqr(r), scale) for r in sorted(roots)]
+
+
+def _classify_quartic(ctx: FieldCtx, a0: int, scaled_roots: list[int]) -> FactorPattern:
     """Case analysis from the resolvent data: scaled_roots are r_i^2 / a1^2
     for the field roots r_i of the resolvent cubic, so w_i = a0 * scaled_roots[i].
 
@@ -139,7 +133,7 @@ def _classify_quartic(ctx: FieldCtx, a0: int, scaled_roots: list[int], trace) ->
     do), so either all traces vanish or exactly one does; the classification
     is labelling-invariant.
     """
-    traces = [trace(ctx.mul(a0, sr)) for sr in scaled_roots]
+    traces = [ctx.trace_abs(ctx.mul(a0, sr)) for sr in scaled_roots]
     if len(traces) == 3:
         zeros = traces.count(0)
         if zeros == 3:
@@ -161,10 +155,7 @@ def quartic_pattern(ctx: FieldCtx, a2: int, a1: int, a0: int) -> FactorPattern:
     if a0 == 0 or a1 == 0:
         raise ValueError("quartic classification requires a0 != 0 and a1 != 0")
     f1 = DensePoly.make(ctx, (a1, a2, 0, 1))
-    roots = sorted(roots_by_scan(f1))
-    scale = ctx.inv(ctx.sqr(a1))
-    scaled = [ctx.mul(ctx.sqr(r), scale) for r in roots]
-    return _classify_quartic(ctx, a0, scaled, ctx.trace_abs)
+    return _classify_quartic(ctx, a0, _resolvent_scaled(ctx, a1, roots_by_scan(f1)))
 
 
 def quartic_pattern_scan(ctx: FieldCtx, a2: int, a1: int, a0: int) -> FactorPattern:
@@ -238,10 +229,6 @@ def _value_histogram(ctx: FieldCtx, values) -> list[int]:
     return hist
 
 
-def _trace_table(ctx: FieldCtx) -> list[int]:
-    return [ctx.trace_abs(x) for x in ctx.elements()]
-
-
 def lemma_quadratic_agreement(ctx: FieldCtx) -> AgreementReport:
     """quadratic_solutions vs a grouped root scan, over every (u != 0, v)."""
     _check_input_cap("quadratic", ctx, (ctx.order - 1) * ctx.order)
@@ -260,26 +247,18 @@ def lemma_quadratic_agreement(ctx: FieldCtx) -> AgreementReport:
 
 
 def lemma_cubic_agreement(ctx: FieldCtx) -> AgreementReport:
-    """cubic_has_unique_root vs a grouped root scan, over every (a, b != 0).
-
-    The criterion trace(a^3/b^2 + 1) != 0 is evaluated with precomputed
-    inverse-square and trace tables; the oracle is the value histogram of
-    x^3 + ax.
-    """
+    """cubic_has_unique_root vs a grouped root scan, over every (a, b != 0);
+    the oracle is the value histogram of x^3 + ax."""
     _check_input_cap("cubic", ctx, ctx.order * (ctx.order - 1))
     mismatches = []
     checked = 0
-    tr = _trace_table(ctx)
-    inv_sq = [0] + [ctx.inv(ctx.sqr(b)) for b in ctx.nonzero()]
     for a in ctx.elements():
         hist = _value_histogram(
             ctx, (ctx.mul(ctx.sqr(x), x) ^ ctx.mul(a, x) for x in ctx.elements())
         )
-        cube_a = ctx.mul(ctx.sqr(a), a)
         for b in ctx.nonzero():
             checked += 1
-            criterion = tr[ctx.mul(cube_a, inv_sq[b]) ^ 1] != 0
-            if criterion != (hist[b] == 1):
+            if cubic_has_unique_root(ctx, a, b) != (hist[b] == 1):
                 mismatches.append((a, b))
     return AgreementReport("cubic", ctx.n, checked, tuple(mismatches))
 
@@ -287,19 +266,22 @@ def lemma_cubic_agreement(ctx: FieldCtx) -> AgreementReport:
 def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
     """quartic_pattern vs the scan oracle, over every (a2, a1 != 0, a0 != 0).
 
-    Both sides are evaluated in grouped form per (a2, a1): the criterion
-    reuses the resolvent roots across a0 (same _classify_quartic case logic
-    as quartic_pattern); the oracle takes quartic root counts from the value
-    histogram of x^4 + a2 x^2 + a1 x and marks divisor-admitting a0 by the
-    quadratic sweep v -> (u^2 + a2) v + v^2 -- the same divisibility test
-    quartic_pattern_scan applies one triple at a time.
+    Both sides are evaluated in grouped form per (a2, a1): the criterion runs
+    quartic_pattern's own two steps, _resolvent_scaled once per a1 and
+    _classify_quartic per a0, with the resolvent roots of every a1 read from
+    one pass over u per a2 (u^3 + a2 u grouped by value); the oracle takes
+    quartic root counts from the value histogram of x^4 + a2 x^2 + a1 x and
+    marks divisor-admitting a0 by the quadratic sweep v -> (u^2 + a2) v + v^2
+    -- the same divisibility test quartic_pattern_scan applies one triple at
+    a time.
     """
     _check_input_cap("quartic", ctx, ctx.order * (ctx.order - 1) ** 2)
     mismatches = []
     checked = 0
-    tr = _trace_table(ctx)
-    trace = lambda x: tr[x]
     for a2 in ctx.elements():
+        roots_of: dict[int, list[int]] = {}
+        for u in ctx.elements():
+            roots_of.setdefault(ctx.mul(ctx.sqr(u), u) ^ ctx.mul(a2, u), []).append(u)
         for a1 in ctx.nonzero():
             hist = _value_histogram(
                 ctx,
@@ -308,11 +290,8 @@ def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
                     for x in ctx.elements()
                 ),
             )
-            roots = sorted(
-                u for u in ctx.elements() if ctx.mul(ctx.sqr(u), u) ^ ctx.mul(a2, u) ^ a1 == 0
-            )
-            scale = ctx.inv(ctx.sqr(a1))
-            scaled = [ctx.mul(ctx.sqr(r), scale) for r in roots]
+            roots = roots_of.get(a1, [])
+            scaled = _resolvent_scaled(ctx, a1, roots)
             divisible = [False] * ctx.order
             for u in roots:
                 w = ctx.sqr(u) ^ a2
@@ -331,6 +310,6 @@ def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
                     oracle = FactorPattern.Q22
                 else:
                     oracle = FactorPattern.Q4
-                if _classify_quartic(ctx, a0, scaled, trace) is not oracle:
+                if _classify_quartic(ctx, a0, scaled) is not oracle:
                     mismatches.append((a2, a1, a0))
     return AgreementReport("quartic", ctx.n, checked, tuple(mismatches))

@@ -102,14 +102,7 @@ class SparsePoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0x0"
-        return "+".join(_fmt_term(e, c) for e, c in self.terms)
-
-
-def _fmt_term(e: int, c: int) -> str:
-    if e == 0:
-        return fmt_elem(c)
-    xpart = "x" if e == 1 else f"x^{e}"
-    return xpart if c == 1 else f"{fmt_elem(c)}*{xpart}"
+        return "+".join(_fmt_bivar_term(c, e, 0) for e, c in self.terms)
 
 
 def reduce_exponents(f: SparsePoly) -> SparsePoly:

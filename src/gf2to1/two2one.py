@@ -53,7 +53,6 @@ __all__ = [
     "admissible_family_tags",
     "make_family",
     "alpha_roots",
-    "omega_roots",
     "IdentityCheck",
     "verify_resultant_identity",
     "ELIMINATION_IDENTITIES",
@@ -300,18 +299,14 @@ class FamilyId:
 
 
 def alpha_roots(ctx: FieldCtx, m: int) -> list[int]:
-    """All roots of z^(2^m) + z + 1 in the field (the n = 2m trinomial parameter).
+    """All roots of z^(2^m) + z + 1 in the field: the tri_I parameter at
+    n = 2m, and at m = 1 the elements of order 3 that tri_II takes.
 
     z -> z^(2^m) + z is GF(2)-linear, so its value table is the xor-closure of
     the n basis images, and the roots are the z where it takes the value 1.
     """
     T = linear_table([ctx.frobenius(1 << b, m) ^ (1 << b) for b in range(ctx.n)])
     return [z for z, v in enumerate(T) if v == 1]
-
-
-def omega_roots(ctx: FieldCtx) -> list[int]:
-    """The two elements of order 3 (roots of z^2 + z + 1); requires n even."""
-    return [z for z in ctx.elements() if ctx.sqr(z) ^ z ^ 1 == 0]
 
 
 def _root_param(roots: list[int], what: str, param: int | None) -> int:
@@ -385,7 +380,7 @@ def _tri_1(ctx: FieldCtx, param=None):
 def _tri_2(ctx: FieldCtx, param=None):
     n = ctx.n
     m = n // 2
-    omega = _root_param(omega_roots(ctx), "z^2 + z + 1", param)
+    omega = _root_param(alpha_roots(ctx, 1), "z^2 + z + 1", param)
     k = ((1 << (n - 1)) + (1 << m) - 1) // 3
     return [(k, 1), (1 << m, 1), (1, omega)]
 

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from gf2to1 import lowdeg
 from gf2to1.field import make_field
 from gf2to1.lowdeg import (
     FactorPattern,
-    _trace_table,
     cubic_has_unique_root,
     lemma_cubic_agreement,
     lemma_quadratic_agreement,
@@ -46,7 +46,7 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="sqrt"):
             quadratic_solutions(F8, 0, 5)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_artin_schreier_even_n_exhaustive(self, n):
         ctx = make_field(n)
         for c in ctx.elements():
@@ -56,6 +56,16 @@ class TestQuadratic:
             else:
                 with pytest.raises(ValueError):
                     solve_artin_schreier(ctx, c)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_artin_schreier_odd_n_is_the_half_trace(self, n):
+        ctx = make_field(n)
+        for c in ctx.elements():
+            if ctx.trace_abs(c) == 0:
+                half_trace = 0
+                for j in range(0, n, 2):
+                    half_trace ^= ctx.frobenius(c, j)
+                assert solve_artin_schreier(ctx, c) == half_trace
 
 
 class TestCubic:
@@ -152,8 +162,8 @@ class TestAgreementEngines:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_quartic_grouped_oracle_matches_single_triple_oracle(self, n):
-        # the grouped divisor sweep inside the engine must agree with the
-        # one-triple-at-a-time scan oracle
+        # quartic_pattern, the criterion the engine runs in grouped form, must
+        # agree with the one-triple-at-a-time scan oracle on every input
         ctx = make_field(n)
         for a2 in ctx.elements():
             for a1 in ctx.nonzero():
@@ -162,13 +172,30 @@ class TestAgreementEngines:
                         ctx, a2, a1, a0
                     )
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_cubic_fused_criterion_matches_public_op(self, n):
-        # the engine's table-driven criterion must be cubic_has_unique_root, literally
-        ctx = make_field(n)
-        tr = _trace_table(ctx)
-        for a in ctx.elements():
-            cube_a = ctx.mul(ctx.sqr(a), a)
-            for b in ctx.nonzero():
-                fused = tr[ctx.mul(cube_a, ctx.inv(ctx.sqr(b))) ^ 1] != 0
-                assert fused == cubic_has_unique_root(ctx, a, b)
+    def test_cubic_engine_reports_a_planted_criterion_fault(self, monkeypatch):
+        # the engine must run cubic_has_unique_root itself, so a fault planted
+        # in it at one input is reported there and nowhere else
+        real = lowdeg.cubic_has_unique_root
+        bad = (3, 5)
+        monkeypatch.setattr(
+            lowdeg, "cubic_has_unique_root", lambda ctx, a, b: real(ctx, a, b) != ((a, b) == bad)
+        )
+        assert lemma_cubic_agreement(F16).mismatches == (bad,)
+
+    def test_quartic_resolvent_fault_reaches_criterion_and_engine(self, monkeypatch):
+        # quartic_pattern and the engine share one resolvent step: dropping all
+        # but the first resolvent root must make both disagree with the scan
+        # oracle, on the same inputs
+        real = lowdeg._resolvent_scaled
+        monkeypatch.setattr(
+            lowdeg, "_resolvent_scaled", lambda ctx, a1, roots: real(ctx, a1, roots)[:1]
+        )
+        wrong = tuple(
+            (a2, a1, a0)
+            for a2 in F16.elements()
+            for a1 in F16.nonzero()
+            for a0 in F16.nonzero()
+            if quartic_pattern(F16, a2, a1, a0) is not quartic_pattern_scan(F16, a2, a1, a0)
+        )
+        assert wrong
+        assert lemma_quartic_agreement(F16).mismatches == wrong

@@ -1,10 +1,12 @@
-"""Every Python file parses under the oldest interpreter the package supports.
+"""Every Python file parses under the oldest interpreter the package supports,
+and every public name the package declares resolves.
 
 pyproject.toml declares requires-python >= 3.10, so syntax newer than 3.10
 (except* groups, PEP 695 type parameters) must not appear in the sources.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -20,3 +22,19 @@ def test_oldest_supported_python_is_3_10():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_public_names_resolve():
+    # a name deleted from a module must also leave its __all__ and the
+    # package's re-exports
+    package = ROOT / "src" / "gf2to1"
+    declared = []  # (module, name)
+    for path in sorted(package.glob("*.py")):
+        module = "gf2to1" if path.stem == "__init__" else f"gf2to1.{path.stem}"
+        names = getattr(importlib.import_module(module), "__all__", ())
+        declared += [(module, name) for name in names]
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            declared += [(f"gf2to1.{node.module}", alias.name) for alias in node.names]
+    missing = [(m, name) for m, name in declared if not hasattr(importlib.import_module(m), name)]
+    assert not missing

@@ -25,7 +25,6 @@ from gf2to1.two2one import (
     is_two_to_one,
     make_family,
     o_orbit,
-    omega_roots,
     point_count_curve,
     point_count_lower_bound,
     preimage_histogram,
@@ -440,7 +439,9 @@ class TestFamilies:
         assert len(roots) == 8
         for a in roots:
             assert is_two_to_one(make_family("tri_I", ctx, param=a))
-        for w in omega_roots(ctx):
+        omegas = alpha_roots(ctx, 1)
+        assert [ctx.mult_order(w) for w in omegas] == [3, 3]
+        for w in omegas:
             assert is_two_to_one(make_family("tri_II", ctx, param=w))
 
     def test_deg5_rows_fixed_to_n3(self):
