@@ -265,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=FORMATS[:2])
     c.set_defaults(fn=_cmd_tables)
 
-    c = sub.add_parser("resultant", help="pointwise check of a pinned elimination identity")
+    c = sub.add_parser(
+        "resultant",
+        help="pinned elimination identity: proved over GF(2)[a, b]; degree-drop points checked pointwise",
+    )
     c.add_argument("--theorem", type=int, choices=(1, 2, 3, 4, 5, 6), required=True)
     _add_field_args(c)
     c.set_defaults(fn=_cmd_resultant)

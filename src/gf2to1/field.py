@@ -275,6 +275,12 @@ class FieldCtx:
         """Absolute trace x + x^2 + ... + x^(2^(n-1)), as a bit: the parity of x & mask."""
         return (x & (self._tmask or self._trace_mask())).bit_count() & 1
 
+    @property
+    def trace_one(self) -> int:
+        """The lowest basis element 2^b of trace 1: the lowest set bit of the mask."""
+        mask = self._tmask or self._trace_mask()
+        return mask & -mask
+
     def trace_rel(self, m: int, x: int) -> int:
         """Relative trace onto the subfield GF(2^m); m must divide n."""
         if m < 1:

@@ -61,7 +61,8 @@ def solve_artin_schreier(ctx: FieldCtx, c: int) -> int:
 
     Odd n uses the half trace.  Even n uses the trace-dual sum of theta_i c^(2^i)
     over i = 1..n-1, theta_i = delta + delta^2 + ... + delta^(2^(i-1)), with delta
-    the lowest basis element of trace 1; at delta = 1 it is the half trace.
+    = ctx.trace_one, the lowest basis element of trace 1; at delta = 1 it is
+    the half trace.
     """
     if ctx.trace_abs(c) != 0:
         raise ValueError("z^2 + z = c is unsolvable: trace(c) = 1")
@@ -72,9 +73,7 @@ def solve_artin_schreier(ctx: FieldCtx, c: int) -> int:
             t = ctx.sqr(ctx.sqr(t))
             acc ^= t
         return acc
-    delta = 1
-    while not ctx.trace_abs(delta):
-        delta <<= 1
+    delta = ctx.trace_one
     z, theta, t = 0, delta, c
     for _ in range(ctx.n - 1):
         t = ctx.sqr(t)

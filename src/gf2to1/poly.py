@@ -10,6 +10,10 @@ Three representations, all immutable:
 * BivarPoly  -- a dense polynomial in y whose coefficients are DensePoly
   values in x; resultant elimination and zero counting.
 
+GF2Poly, a polynomial over GF(2) in x and two parameters a and b, carries the
+same Sylvester determinant, so an elimination identity is proved once over
+GF(2)[a, b] rather than at every point of a field.
+
 Text grammar (CLI and reports): terms joined by '+', each term ``x^K``,
 ``0xC*x^K`` or ``0xC``, exponents decimal, coefficients lowercase hex.
 Bivariate uses the same shape with variables x and y.
@@ -33,6 +37,8 @@ __all__ = [
     "resultant",
     "resultant_eliminate",
     "sylvester_matrix",
+    "sylvester_resultant",
+    "GF2Poly",
     "dickson",
     "dickson_eval",
     "dickson_inverse_exponent",
@@ -239,13 +245,6 @@ class DensePoly:
         return str(self.to_sparse())
 
 
-def poly_product(ctx: FieldCtx, factors) -> DensePoly:
-    out = DensePoly.const(ctx, 1)
-    for f in factors:
-        out = out * f
-    return out
-
-
 def equal_up_to_scalar(p: DensePoly, q: DensePoly) -> bool:
     if p.is_zero or q.is_zero:
         return p.is_zero and q.is_zero
@@ -260,8 +259,9 @@ def equal_up_to_scalar(p: DensePoly, q: DensePoly) -> bool:
 
 
 def sylvester_matrix(u, v, zero):
-    """Sylvester matrix of u, v given as DensePoly coefficient lists ascending
-    by degree; zero is the zero DensePoly, and resultant passes constants.
+    """Sylvester matrix of u, v given as coefficient lists ascending by
+    degree, with zero the zero of their ring; resultant passes constant
+    DensePolys, resultant_eliminate DensePolys in x.
 
     u rows are repeated deg(v) times, v rows deg(u) times.
     """
@@ -288,21 +288,29 @@ def resultant(u: DensePoly, v: DensePoly) -> int:
     if m == 0:
         return ctx.pow(u.coeffs[0], n)
     u_col, v_col = ([DensePoly.const(ctx, c) for c in w.coeffs] for w in (u, v))
-    return _det_bareiss(ctx, sylvester_matrix(u_col, v_col, DensePoly.zero(ctx))).coeff(0)
+    return sylvester_resultant(u_col, v_col, DensePoly.const(ctx, 1)).coeff(0)
 
 
-def _det_bareiss(ctx: FieldCtx, rows: list[list[DensePoly]]) -> DensePoly:
-    """Fraction-free determinant over the polynomial ring.
+def sylvester_resultant(u: list, v: list, one):
+    """The determinant of sylvester_matrix(u, v) over an exact ring: DensePoly,
+    or GF2Poly for an identity over GF(2)[x, a, b].  one is the ring's unit;
+    its elements need +, *, exact_div and is_zero."""
+    return _det_bareiss(one, sylvester_matrix(u, v, one + one))
+
+
+def _det_bareiss(one, rows: list[list]):
+    """Fraction-free determinant over the ring of one.
 
     Bareiss' one-step elimination; every division is exact.  Characteristic 2
     makes row-swap signs irrelevant.
     """
     size = len(rows)
-    prev = DensePoly.const(ctx, 1)
+    zero = one + one
+    prev = one
     for k in range(size - 1):
         piv = next((i for i in range(k, size) if not rows[i][k].is_zero), None)
         if piv is None:
-            return DensePoly.zero(ctx)
+            return zero
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
         pk = rows[k][k]
@@ -310,7 +318,7 @@ def _det_bareiss(ctx: FieldCtx, rows: list[list[DensePoly]]) -> DensePoly:
             for j in range(k + 1, size):
                 num = rows[i][j] * pk + rows[i][k] * rows[k][j]
                 rows[i][j] = num.exact_div(prev)
-            rows[i][k] = DensePoly.zero(ctx)
+            rows[i][k] = zero
         prev = pk
     return rows[-1][-1]
 
@@ -323,9 +331,75 @@ def resultant_eliminate(F: "BivarPoly", G: "BivarPoly") -> DensePoly:
     """
     if F.deg_y < 1 or G.deg_y < 1:
         raise ValueError("both inputs must have positive degree in y")
-    ctx = F.ctx
-    rows = sylvester_matrix(list(F.ycoeffs), list(G.ycoeffs), DensePoly.zero(ctx))
-    return _det_bareiss(ctx, rows)
+    return sylvester_resultant(list(F.ycoeffs), list(G.ycoeffs), DensePoly.const(F.ctx, 1))
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(2) in x and two parameters
+
+
+@dataclass(frozen=True)
+class GF2Poly:
+    """A polynomial over GF(2) in x and two parameters a, b: the set of its
+    monomials (k, u, v) = x^k a^u b^v.
+
+    It is ring enough for a Sylvester determinant, so an elimination identity
+    in a and b is proved once for every field; at specialises it to a point.
+    """
+
+    monos: frozenset
+
+    @staticmethod
+    def monomial(k: int, u: int, v: int) -> "GF2Poly":
+        return GF2Poly(frozenset({(k, u, v)}))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.monos
+
+    def __add__(self, other: "GF2Poly") -> "GF2Poly":
+        return GF2Poly(self.monos ^ other.monos)
+
+    def __mul__(self, other: "GF2Poly") -> "GF2Poly":
+        acc = set()
+        for k, u, v in self.monos:
+            acc ^= {(k + k2, u + u2, v + v2) for k2, u2, v2 in other.monos}
+        return GF2Poly(frozenset(acc))
+
+    def __pow__(self, e: int) -> "GF2Poly":
+        out = GF2Poly.monomial(0, 0, 0)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def exact_div(self, d: "GF2Poly") -> "GF2Poly":
+        """The quotient by d, by leading monomials in lex order on (k, u, v)."""
+        if d.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        dk, du, dv = max(d.monos)
+        r, q = set(self.monos), set()
+        while r:
+            k, u, v = max(r)
+            if k < dk or u < du or v < dv:
+                raise ArithmeticError("division was not exact")
+            k, u, v = k - dk, u - du, v - dv
+            q.add((k, u, v))
+            r ^= {(k + k2, u + u2, v + v2) for k2, u2, v2 in d.monos}
+        return GF2Poly(frozenset(q))
+
+    def lead_x(self) -> "GF2Poly":
+        """The coefficient of the highest power of x, a polynomial in a and b;
+        zero for zero."""
+        top = max((k for k, _, _ in self.monos), default=0)
+        return GF2Poly(frozenset((0, u, v) for k, u, v in self.monos if k == top))
+
+    def at(self, ctx: FieldCtx, a: int, b: int) -> DensePoly:
+        """The polynomial in x over ctx at the parameters (a, b)."""
+        mul, pw = ctx.mul, ctx.pow
+        coeffs = [0] * (1 + max((k for k, _, _ in self.monos), default=-1))
+        for k, u, v in self.monos:
+            coeffs[k] ^= mul(pw(a, u), pw(b, v))
+        return DensePoly.make(ctx, coeffs)
 
 
 # ---------------------------------------------------------------------------

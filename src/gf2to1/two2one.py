@@ -1,5 +1,6 @@
 """The 2-to-1 verifier, equivalence machinery, constructive families and
-pointwise checks of the elimination identities behind quad_01..06, whose
+the elimination identities behind quad_01..06: each is proved over
+GF(2)[a, b], and the degree-drop points are checked pointwise.  Their
 relation pairs are derived from the lift table that builds those families.
 
 A mapping f on GF(2^n) is 2-to-1 when every fiber has size 0 or 2 (a
@@ -24,11 +25,12 @@ from .field import FieldCtx, linear_table
 from .poly import (
     BivarPoly,
     DensePoly,
+    GF2Poly,
     SparsePoly,
     equal_up_to_scalar,
-    poly_product,
     reduce_exponents,
     resultant_eliminate,
+    sylvester_resultant,
 )
 from .tabledata import table1
 
@@ -575,7 +577,8 @@ def point_count_lower_bound(n: int) -> int:
 # _QUAD_LIFTS; only the closed-form eliminants, the paper's result, are
 # pinned, with exact factor multiplicities confirmed against both the
 # fraction-free and the cofactor determinant; identities 1 and 2 carry
-# (x+a+1) squared.
+# (x+a+1) squared.  All three are GF2Poly values over GF(2)[a, b][x], so one
+# Sylvester determinant proves an identity for every field at once.
 
 
 @dataclass(frozen=True)
@@ -589,16 +592,15 @@ class IdentityCheck:
         return self.ok
 
 
-def _columns(mono) -> list:
-    """cols[l][k]: the (u, v) of each monomial x^k y^l a^u b^v in mono."""
-    cols = [[[] for _ in range(1 + max(m[0] for m in mono))] for _ in range(1 + max(m[1] for m in mono))]
-    for k, l, u, v in mono:
-        cols[l][k].append((u, v))
-    return cols
+def _ycoeffs(mono) -> list[GF2Poly]:
+    """The coefficients, ascending in y, of the sum of the monomials
+    x^k y^l a^u b^v listed as (k, l, u, v) in mono."""
+    top = max(l for _, l, _, _ in mono)
+    return [GF2Poly(frozenset((k, u, v) for k, l, u, v in mono if l == j)) for j in range(top + 1)]
 
 
 def _relation_pair(lift) -> tuple[list, list]:
-    """The _columns of F and G for one lift, over GF(2)[a, b].
+    """F and G for one lift, over GF(2)[a, b][x] and ascending in y.
 
     F = (f(x+a, y+b) + f(a, b)) (x+a)^p (y+b)^q a^p b^q; p and q clear the
     lift's negative x- and y-powers, so F takes only sums and products.
@@ -614,22 +616,60 @@ def _relation_pair(lift) -> tuple[list, list]:
             for k, l in product(range(I + 1), range(J + 1)):
                 if k | I == I and l | J == J:
                     mono ^= {(k, l, I - k + s, J - l + t)}
-    return _columns(mono), _columns({(2 * l, k, 2 * v, u) for k, l, u, v in mono})
+    return _ycoeffs(mono), _ycoeffs({(2 * l, k, 2 * v, u) for k, l, u, v in mono})
 
 
 _RELATIONS = {t: _relation_pair(lift) for t, lift in _QUAD_LIFTS.items()}
 
 
-def _specialize(ctx: FieldCtx, cols: list, a: int, b: int) -> BivarPoly:
-    mul, pw = ctx.mul, ctx.pow
+def _relations(theorem: int) -> tuple[list, list]:
+    if theorem not in _RELATIONS:
+        raise ValueError(f"identity {theorem} unknown; expected 1..{len(_RELATIONS)}")
+    return _RELATIONS[theorem]
 
-    def coeff(monos):
-        c = 0
-        for u, v in monos:
-            c ^= mul(pw(a, u), pw(b, v))
-        return c
 
-    return BivarPoly.make(ctx, [[coeff(monos) for monos in col] for col in cols])
+def _eliminant(theorem: int) -> GF2Poly:
+    """The pinned closed-form eliminant of quadrinomial family 1..6."""
+    one, x, a, b = (GF2Poly.monomial(*m) for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    if theorem == 1:
+        return x * (x + a + one) ** 2 * ((a**2 * b**2 + a**2 + b**2 + b + one) * x + one)
+    if theorem == 2:
+        return (a + one) * (b + one) * x * (x + a + one) ** 2 * ((a * b + a + b) * x + a)
+    if theorem == 3:
+        return (
+            x**2
+            * (x + a) ** 8
+            * (b * x + one) ** 2
+            * ((a**2 * b + one) * x + a**2) ** 2
+            * ((a**2 * b**2 + b + one) * x + one) ** 2
+        )
+    if theorem == 4:
+        return (
+            (a + b) ** 3
+            * (a**2 + b) ** 2
+            * x
+            * (x + a) ** 2
+            * (b * x + a**2)
+            * (a * x + b)
+            * (a * b * x + a**3 + a * b + b**2)
+        )
+    if theorem == 5:
+        return (
+            a * b * (a + one) ** 2 * (b + one) ** 2
+            * x
+            * (x + a) ** 2
+            * (x + a + one) ** 2
+            * (a * b * x + a**2 * b + a**2 + b + one)
+        )
+    # theorem 6
+    return (
+        a**2 * b**2
+        * x**2
+        * (x + a) ** 2
+        * (b * x + a * b + a) ** 2
+        * (a * x + a**2 + one) ** 2
+        * (a * x + a**2 + b) ** 2
+    )
 
 
 def _elimination_pair(theorem: int, ctx: FieldCtx, a: int, b: int):
@@ -639,87 +679,50 @@ def _elimination_pair(theorem: int, ctx: FieldCtx, a: int, b: int):
     The families have b = a^(2^(m+1)); the tests also check
     Res_y(F, G) ~ closed at b independent of a.
     """
-    if theorem not in _RELATIONS:
-        raise ValueError(f"identity {theorem} unknown; expected 1..{len(_RELATIONS)}")
-    F, G = (_specialize(ctx, rel, a, b) for rel in _RELATIONS[theorem])
-    mul, pw = ctx.mul, ctx.pow
-    a2, a3, b2, ab = pw(a, 2), pw(a, 3), pw(b, 2), mul(a, b)
+    F, G = (BivarPoly.make(ctx, [c.at(ctx, a, b) for c in rel]) for rel in _relations(theorem))
+    return F, G, _eliminant(theorem).at(ctx, a, b)
 
-    def D(*coeffs):
-        return DensePoly.make(ctx, coeffs)
 
-    def lin(c1, c0):
-        return DensePoly.make(ctx, (c0, c1))
+def _prove_identity(theorem: int) -> tuple[bool, GF2Poly]:
+    """Whether Res_y(F, G) * lc_x(C) = C * lc_x(Res_y(F, G)) holds over
+    GF(2)[a, b][x], C the pinned eliminant, and the guard: lc_x of the leading
+    y-coefficients of F and G, times lc_x(C), times lc_x(Res_y(F, G)).
 
-    if theorem == 1:
-        closed = [
-            lin(1, 0),
-            lin(1, a ^ 1),
-            lin(1, a ^ 1),
-            lin(mul(a2, b2) ^ a2 ^ b2 ^ b ^ 1, 1),
-        ]
-    elif theorem == 2:
-        closed = [
-            D(mul(a ^ 1, b ^ 1)),
-            lin(1, 0),
-            lin(1, a ^ 1),
-            lin(1, a ^ 1),
-            lin(ab ^ a ^ b, a),
-        ]
-    elif theorem == 3:
-        closed = (
-            [lin(1, 0)] * 2
-            + [lin(1, a)] * 8
-            + [lin(b, 1)] * 2
-            + [lin(mul(a2, b) ^ 1, a2)] * 2
-            + [lin(mul(a2, b2) ^ b ^ 1, 1)] * 2
-        )
-    elif theorem == 4:
-        closed = [
-            D(mul(pw(a ^ b, 3), pw(a2 ^ b, 2))),
-            lin(1, 0),
-            lin(1, a),
-            lin(1, a),
-            lin(b, a2),
-            lin(a, b),
-            lin(ab, a3 ^ ab ^ b2),
-        ]
-    elif theorem == 5:
-        closed = [
-            D(mul(ab, mul(pw(a ^ 1, 2), pw(b ^ 1, 2)))),
-            lin(1, 0),
-            lin(1, a),
-            lin(1, a),
-            lin(1, a ^ 1),
-            lin(1, a ^ 1),
-            lin(ab, mul(a2, b) ^ a2 ^ b ^ 1),
-        ]
-    else:  # theorem 6
-        closed = (
-            [D(mul(a2, b2))]
-            + [lin(1, 0)] * 2
-            + [lin(1, a)] * 2
-            + [lin(b, ab ^ a)] * 2
-            + [lin(a, a2 ^ 1)] * 2
-            + [lin(a, a2 ^ b)] * 2
-        )
-    return F, G, poly_product(ctx, closed)
+    At an (a, b) where the guard is nonzero, F and G keep their y-degrees, so
+    the Sylvester matrix of the specialised pair is the specialised matrix;
+    both eliminants keep their x-degrees too, so the identity gives the
+    pointwise one with the nonzero scalar lc_x(Res)/lc_x(C).
+    """
+    F, G = _relations(theorem)
+    closed = _eliminant(theorem)
+    res = sylvester_resultant(F, G, GF2Poly.monomial(0, 0, 0))
+    lc, lr = closed.lead_x(), res.lead_x()
+    return res * lc == closed * lr, F[-1].lead_x() * G[-1].lead_x() * lc * lr
 
 
 ELIMINATION_IDENTITIES = tuple(_QUAD_LIFTS)
 
 
 def verify_resultant_identity(theorem: int, ctx: FieldCtx) -> IdentityCheck:
-    """Pointwise check of the closed-form eliminant for quadrinomial family
-    1..6: for every a outside {0, 1} (the degenerate values the derivations
-    exclude) and b = a^(2^(m+1)), the Sylvester eliminant of the derived pair
-    (F, G) must equal the pinned product up to a nonzero scalar.
+    """The closed-form eliminant of quadrinomial family 1..6, proved over
+    GF(2)[a, b]; degree-drop points are checked pointwise.
+
+    The claim: for every a outside {0, 1} (the degenerate values the
+    derivations exclude) and b = a^(2^(m+1)), the Sylvester eliminant of the
+    derived pair (F, G) equals the pinned product up to a nonzero scalar.
+    Once _prove_identity holds, the pointwise check runs only at the a where
+    its guard vanishes, where a y- or x-degree may drop; if the proof fails,
+    it runs at every a.  Either way the first failing a is reported.
     """
     if ctx.n % 2 == 0 or ctx.n > 9:
         raise ValueError(f"identity checks run over odd n <= 9, got n={ctx.n}")
+    proved, guard = _prove_identity(theorem)
     m1 = 1 << ((ctx.n + 1) // 2)
     for a in range(2, ctx.order):
-        F, G, closed = _elimination_pair(theorem, ctx, a, ctx.pow(a, m1))
+        b = ctx.pow(a, m1)
+        if proved and not guard.at(ctx, a, b).is_zero:
+            continue
+        F, G, closed = _elimination_pair(theorem, ctx, a, b)
         if not equal_up_to_scalar(resultant_eliminate(F, G), closed):
             return IdentityCheck(theorem, ctx.n, False, a)
     return IdentityCheck(theorem, ctx.n, True)

@@ -188,6 +188,11 @@ class TestTraceFrobenius:
             counts = Counter(f.trace_abs(x) for x in f.elements())
             assert counts[0] == counts[1] == f.order // 2
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_trace_one_is_the_lowest_basis_element_of_trace_one(self, n):
+        f = make_field(n)
+        assert f.trace_one == next(1 << b for b in range(n) if f.trace_abs(1 << b) == 1)
+
     def test_trace_rel_identity_when_m_equals_n(self):
         f = make_field(6)
         for x in (0, 1, 5, 63):

@@ -57,6 +57,16 @@ class TestQuadratic:
                 with pytest.raises(ValueError):
                     solve_artin_schreier(ctx, c)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_quadratic_solutions_match_scan_for_every_u_v(self, n):
+        ctx = make_field(n)
+        for u in ctx.nonzero():
+            roots = {}
+            for x in ctx.elements():
+                roots.setdefault(ctx.sqr(x) ^ ctx.mul(u, x), set()).add(x)
+            for v in ctx.elements():
+                assert quadratic_solutions(ctx, u, v) == roots.get(v, set()), (u, v)
+
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_artin_schreier_odd_n_is_the_half_trace(self, n):
         ctx = make_field(n)

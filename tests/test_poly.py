@@ -8,6 +8,7 @@ from gf2to1.field import make_field
 from gf2to1.poly import (
     BivarPoly,
     DensePoly,
+    GF2Poly,
     SparsePoly,
     count_bivariate_zeros,
     dickson,
@@ -20,6 +21,7 @@ from gf2to1.poly import (
     resultant,
     resultant_eliminate,
     sylvester_matrix,
+    sylvester_resultant,
 )
 
 F8 = make_field(3, 0b1011)
@@ -203,6 +205,47 @@ class TestEliminantSoundnessLargerField:
         for x0 in ctx.elements():
             if any(F.eval(x0, y0) == 0 and G.eval(x0, y0) == 0 for y0 in ctx.elements()):
                 assert r.eval(x0) == 0
+
+
+gf2_polys = st.frozensets(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=5
+).map(GF2Poly)
+ONE, X, A = (GF2Poly.monomial(*m) for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+
+
+class TestGF2Poly:
+    @given(gf2_polys, gf2_polys, st.integers(3, 6), st.data())
+    def test_specialising_is_a_ring_map(self, p, q, n, data):
+        ctx = make_field(n)
+        a, b = (data.draw(st.integers(0, ctx.order - 1)) for _ in range(2))
+        assert (p + q).at(ctx, a, b) == p.at(ctx, a, b) + q.at(ctx, a, b)
+        assert (p * q).at(ctx, a, b) == p.at(ctx, a, b) * q.at(ctx, a, b)
+        assert (p**3).at(ctx, a, b) == p.at(ctx, a, b) * p.at(ctx, a, b) * p.at(ctx, a, b)
+
+    @given(gf2_polys, gf2_polys)
+    def test_exact_div_undoes_mul(self, p, q):
+        if not q.is_zero:
+            assert (p * q).exact_div(q) == p
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            (X + ONE).exact_div(X + A)
+        with pytest.raises(ZeroDivisionError):
+            X.exact_div(GF2Poly(frozenset()))
+
+    def test_lead_x(self):
+        p = (A + ONE) * X**2 + A * X + ONE
+        assert p.lead_x() == A + ONE
+        assert GF2Poly(frozenset()).lead_x().is_zero
+
+    @given(st.lists(gf2_polys, min_size=2, max_size=3), st.lists(gf2_polys, min_size=2, max_size=3),
+           st.integers(0, 7), st.integers(0, 7))
+    def test_resultant_specialises_where_leading_coefficients_survive(self, u, v, a, b):
+        # the symbolic Sylvester determinant at (a, b) is the one of the
+        # specialised pair whenever both leading y-coefficients stay nonzero
+        F, G = (BivarPoly.make(F8, [c.at(F8, a, b) for c in w]) for w in (u, v))
+        if F.deg_y == len(u) - 1 and G.deg_y == len(v) - 1:
+            assert sylvester_resultant(u, v, ONE).at(F8, a, b) == resultant_eliminate(F, G)
 
 
 class TestDickson:

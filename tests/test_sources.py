@@ -38,3 +38,26 @@ def test_public_names_resolve():
             declared += [(f"gf2to1.{node.module}", alias.name) for alias in node.names]
     missing = [(m, name) for m, name in declared if not hasattr(importlib.import_module(m), name)]
     assert not missing
+
+
+
+def test_tracer_names_resolve():
+    # perfbench/tracer.py calls getattr on each name it wraps, so a library
+    # name it spans must stay bound while the tracer names it
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANNED" for t in node.targets)
+    )
+    names = [(home, attr) for _, home, attr in spanned]
+    names += [("gf2to1.field", "FieldCtx.mul_table"), ("gf2to1.two2one", "qm_transforms")]
+    assert ("gf2to1.poly", "resultant_eliminate") in names
+    missing = []
+    for module, dotted in names:
+        obj = importlib.import_module(module)
+        for attr in dotted.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append((module, dotted))
+    assert not missing

@@ -8,16 +8,18 @@ from hypothesis import assume, given, strategies as st
 from gf2to1 import two2one
 from gf2to1.field import LOG_TABLE_MAX_N, make_field
 from gf2to1.poly import (
-    DensePoly,
+    GF2Poly,
     SparsePoly,
     count_bivariate_zeros,
     equal_up_to_scalar,
     reduce_exponents,
     resultant_eliminate,
+    sylvester_resultant,
 )
 from gf2to1.two2one import (
     ELIMINATION_IDENTITIES,
     FAMILY_TAGS,
+    IdentityCheck,
     admissible_family_tags,
     alpha_roots,
     family_admissibility_error,
@@ -477,6 +479,35 @@ class TestFamilies:
             assert is_two_to_one(make_family(tag, make_field(n))), tag
 
 
+ONE, X, A = (GF2Poly.monomial(*m) for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+
+
+def pointwise_identity_check(theorem, ctx):
+    """The oracle for verify_resultant_identity: the literal loop over every
+    a outside {0, 1}, b = a^(2^(m+1)), that eliminates y at each point."""
+    m1 = 1 << ((ctx.n + 1) // 2)
+    for a in range(2, ctx.order):
+        F, G, closed = two2one._elimination_pair(theorem, ctx, a, ctx.pow(a, m1))
+        if not equal_up_to_scalar(resultant_eliminate(F, G), closed):
+            return IdentityCheck(theorem, ctx.n, False, a)
+    return IdentityCheck(theorem, ctx.n, True)
+
+
+def swapped(eliminant):
+    """Each theorem's eliminant replaced by the next one's (6 by 1's)."""
+    return lambda theorem: eliminant(theorem % 6 + 1)
+
+
+def perturbed(eliminant):
+    """One x+a factor changed to x+a+1, in the eliminants 3..6 that have one."""
+
+    def mutated(theorem):
+        closed = eliminant(theorem)
+        return closed if theorem < 3 else closed.exact_div(X + A) * (X + A + ONE)
+
+    return mutated
+
+
 class TestEliminationIdentities:
     @pytest.mark.parametrize("theorem", range(1, 7))
     def test_holds_over_gf8(self, theorem):
@@ -516,28 +547,69 @@ class TestEliminationIdentities:
                 assert equal_up_to_scalar(resultant_eliminate(F, G), closed), (t, a, b)
 
     def test_fails_against_another_theorems_eliminant(self, monkeypatch):
-        pair = two2one._elimination_pair
-
-        def swapped(theorem, ctx, a, b):
-            F, G, _ = pair(4, ctx, a, b)
-            return F, G, pair(5, ctx, a, b)[2]
-
-        monkeypatch.setattr(two2one, "_elimination_pair", swapped)
+        monkeypatch.setattr(two2one, "_eliminant", swapped(two2one._eliminant))
         chk = verify_resultant_identity(4, F32)
         assert not chk.ok and chk.failing_a is not None
 
     def test_fails_with_one_factor_perturbed(self, monkeypatch):
         # theorem 3's product with one x+a factor changed to x+a+1
-        pair = two2one._elimination_pair
-
-        def perturbed(theorem, ctx, a, b):
-            F, G, closed = pair(theorem, ctx, a, b)
-            x_a, x_a1 = DensePoly.make(ctx, (a, 1)), DensePoly.make(ctx, (a ^ 1, 1))
-            return F, G, closed.exact_div(x_a) * x_a1
-
-        monkeypatch.setattr(two2one, "_elimination_pair", perturbed)
+        monkeypatch.setattr(two2one, "_eliminant", perturbed(two2one._eliminant))
         chk = verify_resultant_identity(3, F32)
         assert not chk.ok and chk.failing_a is not None
+
+    @pytest.mark.parametrize("theorem", ELIMINATION_IDENTITIES)
+    def test_proved_over_gf2_ab(self, theorem):
+        proved, guard = two2one._prove_identity(theorem)
+        assert proved and not guard.is_zero
+        # the pinned product is the resultant itself, not only a multiple of it
+        F, G = two2one._RELATIONS[theorem]
+        assert sylvester_resultant(F, G, ONE) == two2one._eliminant(theorem)
+
+    @pytest.mark.parametrize("mutation", [swapped, perturbed])
+    def test_mutations_fail_symbolically(self, mutation, monkeypatch):
+        monkeypatch.setattr(two2one, "_eliminant", mutation(two2one._eliminant))
+        mutated = range(1, 7) if mutation is swapped else range(3, 7)
+        assert not any(two2one._prove_identity(t)[0] for t in mutated)
+
+    @pytest.mark.parametrize("mutation", [None, swapped, perturbed])
+    @pytest.mark.parametrize("n", (3, 5, 7, 9))
+    def test_matches_pointwise_oracle(self, n, mutation, monkeypatch):
+        if mutation is not None:
+            monkeypatch.setattr(two2one, "_eliminant", mutation(two2one._eliminant))
+        ctx = make_field(n)
+        for theorem in ELIMINATION_IDENTITIES:
+            assert verify_resultant_identity(theorem, ctx) == pointwise_identity_check(theorem, ctx)
+
+    @pytest.mark.parametrize("theorem, n", [(4, 3), (6, 3), (6, 9)])
+    def test_degree_drop_points_checked_pointwise(self, theorem, n, monkeypatch):
+        # F's leading y-coefficient times a^3 + a + 1 drops F's y-degree at the
+        # three roots, which lie in GF(8).  The pinned eliminant becomes the new
+        # resultant, so the identity is still proved over GF(2)[a, b]; at the
+        # roots the Sylvester matrix shrinks, and the eliminants there agree for
+        # theorem 4 but not for theorem 6, so only the pointwise check there
+        # finds theorem 6's failure.
+        ctx = make_field(n)
+        s = A**3 + A + ONE
+        F, G = two2one._RELATIONS[theorem]
+        F = F[:-1] + [F[-1] * s]
+        monkeypatch.setitem(two2one._RELATIONS, theorem, (F, G))
+        monkeypatch.setattr(two2one, "_eliminant", lambda t: sylvester_resultant(F, G, ONE))
+        pair, checked = two2one._elimination_pair, []
+
+        def spy(t, ctx, a, b):
+            checked.append(a)
+            return pair(t, ctx, a, b)
+
+        assert two2one._prove_identity(theorem)[0]
+        oracle = pointwise_identity_check(theorem, ctx)
+        monkeypatch.setattr(two2one, "_elimination_pair", spy)
+        chk = verify_resultant_identity(theorem, ctx)
+        roots = [a for a in ctx.elements() if s.at(ctx, a, 0).is_zero]
+        assert len(roots) == 3 and chk == oracle
+        if theorem == 4:
+            assert chk.ok and set(roots) <= set(checked)
+        else:
+            assert chk == IdentityCheck(theorem, n, False, roots[0]) and checked == roots[:1]
 
     def test_even_n_rejected(self):
         with pytest.raises(ValueError, match="odd"):
