@@ -15,16 +15,25 @@ as lowercase hex of their bit value.
 from __future__ import annotations
 
 import re
+from array import array
 
 MIN_DEGREE = 2
 MAX_DEGREE = 32
 # Fields up to this degree keep log/antilog tables, about 380 KB at n = 12
-# (n = 17 would need about 11 MB); it covers every field the lemmas, the
-# identities, the point counts, the searches and QM classing use.  Multiplying
-# by a fixed element needs no cap: mul_table is a 2^n-entry list for the small
-# fields the searches scan, and split_table two halves of about 2^(n/2)
-# entries each for the verifier's scans at every n.
+# (as lists, n = 17 would need about 11 MB); it covers every field the lemmas,
+# the identities, the point counts, the searches and QM classing use.
+# Multiplying by a fixed element needs no cap: mul_table is a 2^n-entry list
+# for the small fields the searches scan, and split_table two halves of about
+# 2^(n/2) entries each for the verifier's scans at every n.  The orbit tables
+# are compact arrays, about 0.8 MB at n = 17.
 LOG_TABLE_MAX_N = 12
+# Fields up to this degree build orbit_tables() on first use.  At n = 17 the
+# build costs about one kernel scan of the field (0.09 s, against 0.08 s for
+# bin_segre and 0.14 s for quad_01 on a 2-vCPU Xeon), and each orbit scan on
+# the same context then takes about 0.01 s.  At n = 19 the build takes 0.52 s
+# against a 0.38 s scan, so a single verification would get slower and 3 MB
+# heavier; from n = 21 on the orbit indices outgrow the 2-byte key array.
+_ORBIT_TABLE_MAX_N = 17
 
 __all__ = [
     "FieldCtx",
@@ -140,18 +149,26 @@ def linear_table(images: list[int]) -> list[int]:
     return T
 
 
+def _split_linear(images: list[int]) -> tuple[list[int], list[int]]:
+    """The linear_tables of the first ceil(n/2) and the last floor(n/2) basis images."""
+    h = (len(images) + 1) // 2
+    return linear_table(images[:h]), linear_table(images[h:])
+
+
 class FieldCtx:
     """An instance of GF(2^n): extension degree, modulus bits and the generator they determine.
 
     Up to LOG_TABLE_MAX_N the context keeps the discrete-log pair that
     log_tables() returns, and mul, sqr, pow, inv, frobenius and sqrt are
-    lookups.  Above the cap they run the shift-and-xor loop.  The tables and
-    the trace mask are built on first use, so a context that is only built,
-    compared or labelled costs what it did without them; they are not part
-    of the field's identity.
+    lookups.  Above the cap they run the shift-and-xor loop.  Up to n = 17
+    it also keeps the Frobenius-orbit tables that orbit_tables() returns,
+    which the verifier reads for polynomials with coefficients in GF(2).  The
+    tables and the trace mask are built on first use, so a context that is
+    only built, compared or labelled costs what it did without them; they
+    are not part of the field's identity.
     """
 
-    __slots__ = ("n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_tmask")
+    __slots__ = ("n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_orbits", "_tmask")
 
     def __init__(self, n: int, modulus: int):
         if not MIN_DEGREE <= n <= MAX_DEGREE:
@@ -168,7 +185,7 @@ class FieldCtx:
         self.generator = self._find_generator()
         # Built on first use by _tables(), not by a __getattr__ hook: on CPython
         # 3.11 a class with __getattr__ makes every attribute read several times slower.
-        self._exp = self._log = None
+        self._exp = self._log = self._orbits = None
         self._tmask = 0  # built by _trace_mask() on first use; never 0 once built
 
     def _find_generator(self) -> int:
@@ -180,23 +197,69 @@ class FieldCtx:
                 return g
         raise AssertionError("no generator found (broken modulus?)")
 
+    def _power_walk(self, powers):
+        """Fill powers[i] = g^i for i < N = 2^n - 1 and return it: the one walk
+        of the generator's powers, behind the log and the orbit tables.
+
+        It steps by the split_table pair of g, built on _mul_bits because
+        split_table reads the log tables this walk builds.
+        """
+        m, top = self.modulus, self.order
+        lo, hi = _split_linear([_mul_bits(self.generator, 1 << b, m, top) for b in range(self.n)])
+        mask = len(lo) - 1
+        h = mask.bit_length()
+        u = 1
+        for i in range(top - 1):
+            powers[i] = u
+            u = lo[u & mask] ^ hi[u >> h]
+        return powers
+
     def _tables(self) -> list[int] | None:
         """The LOG table, with EXP beside it, built on first use; None above the cap."""
         if self._log is None and self.n <= LOG_TABLE_MAX_N:
-            # the walk steps by mul_table(generator), built on _mul_bits because
-            # mul_table reads the tables being built here
-            m, top = self.modulus, self.order
-            N = top - 1
-            step = linear_table([_mul_bits(self.generator, 1 << b, m, top) for b in range(self.n)])
-            powers = [1] * N
-            for i in range(1, N):
-                powers[i] = step[powers[i - 1]]
-            log = [2 * N] * top  # log[0] = 2N: the start of the zero run
+            N = self.order - 1
+            powers = self._power_walk([0] * N)
+            log = [2 * N] * self.order  # log[0] = 2N: the start of the zero run
             for i, v in enumerate(powers):
                 log[v] = i
             self._exp = powers + powers + [0] * (2 * N + 1)
             self._log = log
         return self._log
+
+    def orbit_tables(self) -> tuple[array, array, array, bytes] | None:
+        """The Frobenius-orbit tables (antilog, key, leaders, sizes), built on
+        first use for n <= 17; None above.
+
+        The orbits of x -> x^2 are {0} and, for each cyclotomic coset C of
+        i -> 2i mod N, N = 2^n - 1, the set of g^i with i in C.  Orbit 0 is
+        {0}; orbits 1, 2, ... are the cosets in order of their least element.
+        antilog[i] = g^i for i < N (array 'I'); key[v] is the orbit index of
+        the field element v (array 'H'); leaders[k - 1] is the least log in
+        orbit k >= 1 (array 'I'); sizes[k] is the size of orbit k, so
+        sizes[0] = 1.  The arrays are the context's own: read, never write.
+        """
+        if self._orbits is None and self.n <= _ORBIT_TABLE_MAX_N:
+            N = self.order - 1
+            antilog = self._power_walk(array("I", [0]) * N)
+            key = array("H", [0]) * self.order  # key[0] = 0 for the orbit {0}
+            leaders = array("I")
+            sizes = bytearray([1])
+            for i, v in enumerate(antilog):
+                if key[v]:
+                    continue
+                # g^i has no key yet, so i is the least log of a new orbit
+                k = len(sizes)
+                leaders.append(i)
+                j, size = i, 0
+                while True:
+                    key[antilog[j]] = k
+                    size += 1
+                    j = 2 * j % N
+                    if j == i:
+                        break
+                sizes.append(size)
+            self._orbits = antilog, key, leaders, bytes(sizes)
+        return self._orbits
 
     def log_tables(self) -> tuple[list[int], list[int]]:
         """The antilog and log tables (EXP, LOG) for n <= LOG_TABLE_MAX_N.
@@ -345,9 +408,7 @@ class FieldCtx:
         and hi are the linear_tables of the first h and the last n - h of the
         basis products mul_table closes over, 2^h and 2^(n-h) entries.
         """
-        images = [self.mul(c, 1 << b) for b in range(self.n)]
-        h = (self.n + 1) // 2
-        return linear_table(images[:h]), linear_table(images[h:])
+        return _split_linear([self.mul(c, 1 << b) for b in range(self.n)])
 
     # -- identity and serialization -------------------------------------------
 

@@ -341,8 +341,13 @@ def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int
         raise ValueError(f"{shape} search capped at n={cap}, got n={ctx.n}{hint}")
     if shape == "degree5" and ctx.n < 3:
         raise ValueError(f"degree5 search needs n >= 3 (x^5 = x^2 on GF(4)), got n={ctx.n}")
-    t0 = time.monotonic()
     hi = ctx.order if shape == "degree5" else ctx.order - 1
+    if SHAPES[shape] >= hi:
+        raise ValueError(
+            f"{shape} search needs n >= 3 (the template's leading exponent k in"
+            f" [{SHAPES[shape]}, 2^n - 1) has no value), got n={ctx.n}"
+        )
+    t0 = time.monotonic()
     shards = [
         (ctx.n, ctx.modulus, shape, dedupe, outer)
         for outer in _strides(SHAPES[shape], hi, workers)

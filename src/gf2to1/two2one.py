@@ -5,13 +5,18 @@ relation pairs are derived from the lift table that builds those families.
 
 A mapping f on GF(2^n) is 2-to-1 when every fiber has size 0 or 2 (a
 half-size image is necessary but not sufficient: fiber profiles like
-(3, 1, 2, ..., 2) also reach 2^(n-1) values).  Verification is a single pass
-over the domain with early exit on the first fiber of size 3; the domain is
-walked multiplicatively (x = g^i) so each sparse term advances by one fixed
-multiplication per point.  The verifier steps each term with the two split
-tables of FieldCtx.split_table, about 2^(n/2) entries each, so a scan that
-exits after a few points builds little.  One kernel, fibers_two_to_one, does
-the counting for the verifier, the o-polynomial test and every search.
+(3, 1, 2, ..., 2) also reach 2^(n-1) values).  The verifier has two paths.
+When every coefficient of f is 1 (the binomial and quadrinomial families)
+and n <= 17, f(x^2) = f(x)^2, so fiber sizes are constant on the Frobenius
+orbits x -> x^2: it evaluates f once per orbit, about 2^n/n points, and
+counts points per value orbit in the FieldCtx.orbit_tables of the field,
+which are built once per context.  Otherwise it makes a single pass over the
+domain with early exit on the first fiber of size 3; the domain is walked
+multiplicatively (x = g^i) so each sparse term advances by one fixed
+multiplication per point.  The domain walk steps each term with the two
+split tables of FieldCtx.split_table, about 2^(n/2) entries each, so a scan
+that exits after a few points builds little.  One kernel, fibers_two_to_one,
+does that counting for the verifier, the o-polynomial test and every search.
 """
 
 from __future__ import annotations
@@ -164,10 +169,47 @@ def preimage_histogram(f: SparsePoly) -> PreimageHistogram:
 
 
 def is_two_to_one(f: SparsePoly) -> bool:
-    """Whether every fiber of f has size 0 or 2; early exit on a size-3 fiber."""
+    """Whether every fiber of f has size 0 or 2, with early exit.
+
+    When every reduced coefficient of f is 1 and the context keeps orbit
+    tables (n <= 17), one point per Frobenius orbit decides it
+    (_orbits_two_to_one); otherwise fibers_two_to_one walks the whole domain
+    and exits on the first fiber of size 3.
+    """
+    terms = reduce_exponents(f).terms
+    tables = f.ctx.orbit_tables() if all(c == 1 for _, c in terms) else None
+    if tables is not None:
+        return _orbits_two_to_one(terms, *tables)
     const, streams = _streams(f)
     walk = _walk(f.ctx.order, const, streams)
     return fibers_two_to_one(f.ctx.order, const, walk, 0, (0,), 0, (0,))
+
+
+def _orbits_two_to_one(terms, antilog, key, leaders, sizes) -> bool:
+    """is_two_to_one for reduced terms whose coefficients are all 1, from the
+    FieldCtx.orbit_tables of the field.
+
+    Then f(x^2) = f(x)^2, so f maps the orbit of x onto the orbit V of f(x),
+    and every element of V has the same fiber size c.  The orbits mapped into
+    V hold c*|V| points, so f is 2-to-1 exactly when every value orbit V
+    collects 0 or 2*|V| of them.  f is evaluated at x = 0 (the orbit {0}) and
+    at g^L for each orbit leader L; it returns as soon as a count passes 2*|V|.
+    """
+    N = len(antilog)
+    exps = [e for e, _ in terms if e]
+    const = len(terms) - len(exps)  # f(0): 1 exactly when x^0 is a term
+    counts = [0] * len(sizes)
+    counts[key[const]] = 1  # the point x = 0
+    for k, L in enumerate(leaders, 1):
+        v = const
+        for e in exps:
+            v ^= antilog[L * e % N]
+        V = key[v]
+        c = counts[V] + sizes[k]
+        if c > 2 * sizes[V]:
+            return False
+        counts[V] = c
+    return all(c == 0 or c == 2 * s for c, s in zip(counts, sizes))
 
 
 def is_o_polynomial(f: SparsePoly) -> bool:

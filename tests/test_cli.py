@@ -452,9 +452,10 @@ class TestUsageErrorShape:
             ("lemma", "--which", "2.6", "--n", "9"),
             ("count-points", "--a3", "0x9", "--a2", "0x0", "--a1", "0x0", "--n", "3"),
             ("resultant", "--theorem", "2", "--n", "4"),
+            ("search", "--shape", "quadrinomial", "--n", "2", "--workers", "1"),
         ],
         ids=["inadmissible-family", "n-max-without-long", "modulus", "param", "workers", "lemma-cap",
-             "element-range", "resultant-even-n"],
+             "element-range", "resultant-even-n", "empty-template"],
     )
     def test_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -385,6 +385,35 @@ class TestFieldAxioms:
             assert (len(lo), len(hi)) == (1 << h, 1 << (n - h))
             assert [lo[x & m] ^ hi[x >> h] for x in xs] == [mul_ref(f, c, x) for x in xs]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 13, 18])
+    def test_orbit_tables_match_squaring_orbits(self, n):
+        """orbit_tables() against the orbits of x -> x^2 walked by mul_ref: the
+        antilog array is the generator's power walk, key[v] is 0 for {0} and one
+        index per orbit, the sizes are the orbits' and each leader is the least
+        log in its orbit.  Above n = 17 there are no tables."""
+        f = make_field(n)
+        if n > 17:
+            assert f.orbit_tables() is None
+            return
+        antilog, key, leaders, sizes = f.orbit_tables()
+        powers = [1]
+        while len(powers) < f.order - 1:
+            powers.append(mul_ref(f, powers[-1], f.generator))
+        assert list(antilog) == powers
+        log = {v: i for i, v in enumerate(powers)}
+        orbits = {}  # key -> the orbit of the first element with that key
+        for v in f.elements():
+            if key[v] not in orbits:
+                orbit, w = {v}, mul_ref(f, v, v)
+                while w != v:
+                    orbit.add(w)
+                    w = mul_ref(f, w, w)
+                orbits[key[v]] = orbit
+            assert v in orbits[key[v]]
+        assert key[0] == 0 and sorted(orbits) == list(range(len(sizes)))
+        assert list(sizes) == [len(orbits[k]) for k in range(len(sizes))]
+        assert list(leaders) == [min(log[v] for v in orbits[k]) for k in range(1, len(sizes))]
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, LOG_TABLE_MAX_N + 1])
     def test_powers_match_pow(self, n):
         """log_tables() for every modulus: EXP[:N] is the power walk of the

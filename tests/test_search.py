@@ -152,11 +152,16 @@ class TestDegree5:
         with pytest.raises(ValueError, match="capped at n=7"):
             search_sparse(make_field(8), "degree5", long_run=True)
 
-    @pytest.mark.parametrize("dedupe", ["none", "qm"])
-    def test_n_below_3_rejected(self, dedupe):
-        # on GF(4) x^5 = x^2, so the template is not a quintic there
+    @pytest.mark.parametrize(
+        "shape,dedupe",
+        [pytest.param("degree5", d, id=d) for d in ("none", "qm")]
+        + [(s, d) for s in ("binomial", "trinomial", "quadrinomial") for d in ("none", "qm")],
+    )
+    def test_n_below_3_rejected(self, shape, dedupe):
+        # on GF(4) x^5 = x^2, so the degree-5 template is not a quintic there;
+        # the sparse templates have no leading exponent k in [SHAPES[shape], 3)
         with pytest.raises(ValueError, match="needs n >= 3"):
-            search_degree5(make_field(2), dedupe=dedupe)
+            search_sparse(make_field(2), shape, dedupe=dedupe)
 
     @pytest.mark.parametrize("dedupe", ["none", "qm"])
     @pytest.mark.parametrize("n", [3])
@@ -285,9 +290,7 @@ class TestDeterminism:
         assert len(docs) == 1
         assert len({r.candidates_scanned for r in reps}) == 1
 
-    @pytest.mark.parametrize(
-        "n,shape", [(n, s) for n in (2, 3, 4, 5) for s in SHAPES if (n, s) != (2, "degree5")]
-    )
+    @pytest.mark.parametrize("n,shape", [(n, s) for n in (3, 4, 5) for s in SHAPES])
     def test_shards_partition_the_exponent_range(self, n, shape, monkeypatch):
         ctx = make_field(n)
         N = ctx.order - 1

@@ -16,6 +16,7 @@ from gf2to1.poly import (
     resultant_eliminate,
     sylvester_resultant,
 )
+from gf2to1.search import search_sparse
 from gf2to1.two2one import (
     ELIMINATION_IDENTITIES,
     FAMILY_TAGS,
@@ -23,6 +24,7 @@ from gf2to1.two2one import (
     admissible_family_tags,
     alpha_roots,
     family_admissibility_error,
+    fibers_two_to_one,
     is_o_polynomial,
     is_two_to_one,
     make_family,
@@ -61,6 +63,25 @@ def random_sparse(draw, n_min=2, n_max=6, max_terms=4, any_exponent=False):
     f = SparsePoly.make(ctx, terms)
     assume(not f.reduced().is_zero)
     return f
+
+
+@st.composite
+def gf2_coefficient_poly(draw, n_max=14):
+    """A polynomial with every coefficient 1 over GF(2^n), n <= n_max; its
+    exponents lean on 0, 2^n - 1 and powers of 2 (so linearized 2-to-1 maps
+    occur) and range up to 3 * 2^n.  Equal exponents cancel, so f may be 0."""
+    n = draw(st.integers(2, n_max))
+    ctx = make_field(n)
+    special = st.sampled_from([0, ctx.order - 1]) | st.integers(0, n - 1).map(lambda j: 1 << j)
+    exp = st.one_of(special, special, st.integers(0, 3 * ctx.order))
+    exps = draw(st.lists(exp, min_size=1, max_size=5))
+    return SparsePoly.make(ctx, [(e, 1) for e in exps])
+
+
+def kernel_two_to_one(f):
+    """The oracle for the orbit path: fibers_two_to_one over the whole domain walk."""
+    const, streams = two2one._streams(f)
+    return fibers_two_to_one(f.ctx.order, const, two2one._walk(f.ctx.order, const, streams), 0, (0,), 0, (0,))
 
 
 def shift_criterion(f):
@@ -200,6 +221,41 @@ class TestIsTwoToOne:
 
     def test_shift_criterion_on_permutation(self):
         assert not shift_criterion(sp(F8, (1, 1)))
+
+
+class TestOrbitPath:
+    """is_two_to_one on GF(2)-coefficient polynomials up to n = 17 takes one
+    point per Frobenius orbit; the whole-domain kernel is its oracle."""
+
+    @given(gf2_coefficient_poly())
+    def test_matches_the_kernel(self, f):
+        assert is_two_to_one(f) == kernel_two_to_one(f)
+        assert f.ctx._orbits is not None  # the verdict came from the orbit path
+
+    @pytest.mark.parametrize("n, hits", [(5, 320), (6, 57)])
+    def test_quadrinomial_template_hits_match_the_search(self, n, hits):
+        ctx = make_field(n)
+        N = ctx.order - 1
+        found = {
+            t
+            for k in range(4, N)
+            for l in range(3, k)
+            for d in range(2, l)
+            if is_two_to_one(SparsePoly(ctx, t := ((k, 1), (l, 1), (d, 1), (1, 1))))
+        }
+        raw = {h.poly.terms for h in search_sparse(ctx, "quadrinomial", dedupe="none").hits}
+        assert found == raw and len(found) == hits
+
+    def test_tables_only_for_gf2_coefficients_up_to_n17(self):
+        # x^N is 1 on every nonzero x, so both paths exit after three points
+        big = make_field(18)
+        assert not is_two_to_one(sp(big, (big.order - 1, 1)))
+        assert big._orbits is None
+        ctx = make_field(13)
+        assert not is_two_to_one(sp(ctx, (ctx.order - 1, 3)))
+        assert ctx._orbits is None
+        assert not is_two_to_one(sp(ctx, (ctx.order - 1, 1)))
+        assert ctx._orbits is not None
 
 
 class TestMonomial:
