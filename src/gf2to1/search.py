@@ -22,13 +22,18 @@ The fiber sieve runs that pass at x0 = 0, 1 and g, and only the alphas that
 survive all three go to the fiber kernel; a rejected alpha cannot be a hit, so
 the reports are those of the kernel alone.  Every candidate still counts as
 scanned, and the report's sieve_rejected says how many the sieve decided.
-Binomials (alpha on x^l) and quadrinomials (no free coefficient) run the
-kernel on every candidate.
+Trinomial survivors then go to the kernel one Frobenius orbit at a time:
+f^sigma = sq o f o sqrt is x^k + beta^2*x^l + alpha^2*x, 2-to-1 exactly when
+f is, so an orbit with a rejected member holds no hit, and one kernel call
+decides all the others.  Binomials (alpha on x^l) and quadrinomials (no free
+coefficient) run the kernel on every candidate.
 
 The scan alone decides template membership: each hit carries the number of
 template candidates it stands for, and a class's orbit size is that weight
-summed over the raw hits in its QM orbit.  The hits of a qm report are the
-canonicals of their classes, and the table comparisons read them as they are.
+summed over the distinct raw hits in its QM orbit.  One walk over the QM
+transforms of a class finds both those raw hits and its canonical.  The hits
+of a qm report are the canonicals of their classes, and the table comparisons
+read them as they are.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .two2one import (
     fibers_two_to_one,
     make_family,
     qm_canonical,
-    qm_shape_orbit,
+    qm_transforms,
 )
 
 SEARCH_MAX_N = 6
@@ -145,23 +150,35 @@ def _coeff_reps_binomial(EXP: list[int], N: int, k: int, l: int, dedupe: str):
     return EXP[: math.gcd(k - l, N)]
 
 
-def _coeff_reps_trinomial(EXP: list[int], N: int, k: int, l: int, dedupe: str):
-    """(beta, [alpha, ...]) groups of orbit representatives under monic rescaling.
+def _coeff_reps_trinomial(N: int, k: int, l: int, dedupe: str):
+    """(u, w, sigma) for x^k + beta*x^l + alpha*x: the scan takes beta = g^B
+    and alpha = g^A for every B below u and A below w, and sigma(B, A) gives
+    the logs of the scanned pair standing for (beta^2, alpha^2).
 
-    Rescaling by b maps (beta, alpha) to (beta*b^(l-k), alpha*b^(1-k)); in
-    exponent coordinates the orbit is (B, A) + j*(p, q) mod N, so unique
-    representatives are B below u = gcd(p, N) and, for the residual
-    stabilizer j in (N/u)Z, A below gcd((N/u)*q, N).
+    dedupe="none" scans every pair, so sigma doubles both logs mod N.  With
+    qm, rescaling by b = g^j maps (beta, alpha) to (beta*b^(l-k),
+    alpha*b^(1-k)): in log coordinates the orbit of (B, A) is
+    (B, A) + j*(p, q) mod N, so unique representatives are B below
+    u = gcd(p, N) and, for the residual stabilizer j in (N/u)Z, A below
+    w = gcd((N/u)*q, N).  sigma doubles the logs, then translates by the j
+    with B + j*p = B mod u (mod N) and reduces A mod w.  Squaring commutes
+    with rescaling, so sigma permutes the representatives and sigma^n is
+    the identity.
     """
     if dedupe != "qm":
-        alphas = range(1, N + 1)
-        return [(b, alphas) for b in range(1, N + 1)]
+        return N, N, lambda B, A: (2 * B % N, 2 * A % N)
     p = (l - k) % N
     q = (1 - k) % N
     u = math.gcd(p, N)
-    s = (N // u) * q % N
-    w = math.gcd(s, N) if s else N
-    return [(EXP[B], EXP[:w]) for B in range(u)]
+    w = math.gcd((N // u) * q, N)
+    r = pow(p // u, -1, N // u)
+
+    def sigma(B: int, A: int) -> tuple[int, int]:
+        B, A = 2 * B % N, 2 * A % N
+        j = -(B // u) * r  # j*p = -(B - B % u) mod N
+        return B % u, (A + j * q) % w
+
+    return u, w, sigma
 
 
 def _fiber_sieve(ctx: FieldCtx):
@@ -202,24 +219,27 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     """(hits, candidates scanned, candidates the fiber sieve rejected) for one
     stride of a shape's outer loop.  A hit is (terms, weight), the weight the
     size of its monic-rescaling orbit when dedupe="qm" prunes, else 1; the
-    rescaling translates the coefficient logs, so one (k, l) has one size."""
+    rescaling translates the coefficient logs, so one (k, l) has one size.
+
+    Every multiply table and power array is built once per shard.  The
+    trinomial scan sieves every candidate of a (k, l), then closes the
+    survivors under the sigma of _coeff_reps_trinomial: a sigma-orbit with a
+    rejected member holds no hit, and one kernel call decides the others."""
     n, modulus, shape, dedupe, outer = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
-    EXP = ctx.log_tables()[0]
+    EXP, LOG = ctx.log_tables()
     hits: list[tuple] = []
     scanned = rejected = 0
     if shape == "degree5":
-        A5 = _power_array(EXP, N, 5)
-        A3 = _power_array(EXP, N, 3)
-        A2 = _power_array(EXP, N, 2)
-        tg = ctx.mul_table(ctx.generator)
+        A5, A3, A2 = (_power_array(EXP, N, e) for e in (5, 3, 2))
+        tabs = [ctx.mul_table(c) for c in range(order)]  # read as both T3 and T2
+        tg = tabs[ctx.generator]
         sieve = _fiber_sieve(ctx)
         for a3 in outer:
-            T3 = ctx.mul_table(a3)
-            for a2 in range(order):
-                T2 = ctx.mul_table(a2)
+            T3 = tabs[a3]
+            for a2, T2 in enumerate(tabs):
                 W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
                 survivors = sieve(W, range(order))
                 scanned += order
@@ -227,43 +247,59 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 for a1 in survivors:
                     if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
                         hits.append((tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]), 1))
-    elif shape == "binomial":
+        return hits, scanned, rejected
+    tabs = [ctx.mul_table(EXP[e]) for e in range(N)]  # tabs[e]: multiplication by g^e
+    if shape == "binomial":
         pow2 = _pow2_residues(N)
         for k in outer:
             AK = _power_array(EXP, N, k)
             for l in range(1, k):
                 if _binomial_is_linearized_class(k, l, N, pow2):
                     continue  # the linearized class is set aside
-                TL = ctx.mul_table(EXP[l])
                 reps = _coeff_reps_binomial(EXP, N, k, l, dedupe)
                 weight = N // len(reps)
                 for alpha in reps:
                     scanned += 1
-                    if fibers_two_to_one(order, 0, AK, alpha, TL, 0, (0,)):
+                    if fibers_two_to_one(order, 0, AK, alpha, tabs[l], 0, (0,)):
                         hits.append((((k, 1), (l, alpha)), weight))
     elif shape == "trinomial":
-        tg = ctx.mul_table(ctx.generator)
+        powers = [_power_array(EXP, N, e) for e in range(N)]
         sieve = _fiber_sieve(ctx)
         for k in outer:
-            AK = _power_array(EXP, N, k)
+            AK = powers[k]
             k_pow2 = _is_pow2(k)
             for l in range(2, k):
                 if k_pow2 and _is_pow2(l):
                     continue  # linearized shapes are excluded from the template
-                AL = _power_array(EXP, N, l)
-                groups = _coeff_reps_trinomial(EXP, N, k, l, dedupe)
-                weight = N * N // sum(len(alphas) for _, alphas in groups)
-                for beta, alphas in groups:
-                    TB = ctx.mul_table(beta)
-                    H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + beta*x^l
-                    survivors = sieve(H, alphas)
-                    scanned += len(alphas)
-                    rejected += len(alphas) - len(survivors)
-                    for alpha in survivors:
-                        if fibers_two_to_one(order, 0, H, alpha, tg, 0, (0,)):
-                            hits.append((((k, 1), (l, beta), (1, alpha)), weight))
+                AL = powers[l]
+                u, w, sigma = _coeff_reps_trinomial(N, k, l, dedupe)
+                weight = N * N // (u * w)
+                alphas = EXP[:w]
+                Hs = {}  # B -> the values of x^k + g^B*x^l, for each B with survivors
+                survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
+                for B in range(u):
+                    TB = tabs[B]
+                    H = [a ^ TB[b] for a, b in zip(AK, AL)]
+                    alive = sieve(H, alphas)
+                    rejected += len(alphas) - len(alive)
+                    if alive:
+                        Hs[B] = H
+                        survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
+                scanned += u * w
+                decided = set()
+                for rep in survivors:
+                    if rep in decided:
+                        continue
+                    orbit, m = {rep}, rep
+                    for _ in range(n - 1):
+                        m = sigma(*m)
+                        orbit.add(m)
+                    decided |= orbit
+                    if orbit <= survivors.keys():
+                        B, A = rep
+                        if fibers_two_to_one(order, 0, Hs[B], EXP[A], tabs[1], 0, (0,)):
+                            hits.extend((((k, 1), (l, EXP[B]), (1, EXP[A])), weight) for B, A in orbit)
     else:  # quadrinomial
-        tabs = [ctx.mul_table(EXP[e]) for e in range(N - 1)]
         for k in outer:
             AK = _power_array(EXP, N, k)
             base = [AK[i] ^ EXP[i] for i in range(N)]  # x^k + x
@@ -306,17 +342,26 @@ def _finalize(
     notes: tuple[str, ...] = (),
     sieve_rejected: int = 0,
 ) -> SearchReport:
-    """One canonical and one orbit walk per class; raw maps each raw hit to its
-    shard weight.  A template member of a 2-to-1 class is 2-to-1, so its
-    scaling representative is a raw hit, and the orbit size (the template
-    candidates the class explains) is the weight summed over the class."""
+    """One qm_transforms walk per class; raw maps each raw hit to its shard
+    weight.  The walk keeps the least transform, the class's canonical, and
+    the transforms that are raw hits.  A template member of a 2-to-1 class
+    is 2-to-1, so its scaling representative is a raw hit, and the orbit size
+    (the template candidates the class explains) is the weight summed over
+    the class's distinct raw hits: a class with a stabiliser yields some
+    transforms more than once."""
     classes: dict[tuple, Hit] = {}
     for t in raw:
         if t not in classes:
-            p = SparsePoly(ctx, t)
-            members = qm_shape_orbit(p, raw.__contains__)
+            walk = qm_transforms(SparsePoly(ctx, t))
+            best = next(walk)
+            members = {best} & raw.keys()
+            for m in walk:
+                if m < best:
+                    best = m
+                if m in raw:
+                    members.add(m)
             size = sum(raw[m] for m in members)
-            classes.update(dict.fromkeys(members, Hit(qm_canonical(p), size)))
+            classes.update(dict.fromkeys(members, Hit(SparsePoly(ctx, best), size)))
     if dedupe == "qm":
         chosen = set(classes.values())
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -428,6 +429,90 @@ class TestFiberSieve:
         assert report_from_json(report_to_json(rep)).sieve_rejected == rep.sieve_rejected
         assert "sieve_rejected" not in report_to_json(rep, include_timing=False)
         assert report_from_json(report_to_json(rep, include_timing=False)).sieve_rejected == 0
+
+
+def trinomial_exponent_pairs(N):
+    """The (k, l) of the trinomial template, linearized pairs left out."""
+    pow2 = {1 << i for i in range(N.bit_length())}
+    return [(k, l) for k in range(3, N) for l in range(2, k) if not {k, l} <= pow2]
+
+
+def squared_representatives(ctx, k, l, dedupe):
+    """(B, A) -> the scanned logs of the representative of (beta^2, alpha^2),
+    for every scanned (beta, alpha) = (g^B, g^A) of the trinomial (k, l):
+    found by field multiplication over the literal rescaling orbit
+    f(b*x) / b^k, which dedupe="none" leaves out."""
+    N = ctx.order - 1
+    EXP = ctx.log_tables()[0]
+    u, w, _ = search._coeff_reps_trinomial(N, k, l, dedupe)
+    scanned = {(EXP[B], EXP[A]): (B, A) for B in range(u) for A in range(w)}
+    rep_of = {}  # every (beta, alpha) -> the scanned logs of its orbit
+    for b in ctx.nonzero() if dedupe == "qm" else (1,):
+        sb = ctx.div(ctx.pow(b, l), ctx.pow(b, k))
+        sa = ctx.div(b, ctx.pow(b, k))
+        for (beta, alpha), rep in scanned.items():
+            rep_of[ctx.mul(beta, sb), ctx.mul(alpha, sa)] = rep
+    assert len(rep_of) == N * N  # the orbits of the scanned pairs cover every pair
+    return {rep: rep_of[ctx.mul(beta, beta), ctx.mul(alpha, alpha)] for (beta, alpha), rep in scanned.items()}
+
+
+class TestFrobeniusStep:
+    @pytest.mark.parametrize("dedupe", ["none", "qm"])
+    @pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.long)])
+    def test_sigma_is_squaring_on_representatives(self, n, dedupe):
+        ctx = make_field(n)
+        N = ctx.order - 1
+        expected = None
+        for k, l in trinomial_exponent_pairs(N):
+            if dedupe == "qm" or expected is None:  # without rescaling, one map serves every (k, l)
+                expected = squared_representatives(ctx, k, l, dedupe)
+            sigma = search._coeff_reps_trinomial(N, k, l, dedupe)[2]
+            image = {rep: sigma(*rep) for rep in expected}
+            assert image == expected, (k, l)
+            assert set(image.values()) == image.keys()  # a permutation of the representatives
+            seen = set()
+            for rep in image:  # sigma^n is the identity: every cycle length divides n
+                if rep in seen:
+                    continue
+                cycle = [rep]
+                while (m := image[cycle[-1]]) != rep:
+                    cycle.append(m)
+                seen.update(cycle)
+                assert n % len(cycle) == 0, (k, l, cycle)
+
+    @pytest.mark.parametrize("n,calls", [(4, 3), (5, 8), (6, 87)])
+    def test_one_kernel_call_per_orbit_of_survivors(self, n, calls, monkeypatch):
+        spy = Counter()
+        kernel = search.fibers_two_to_one
+
+        def counting(*args):
+            spy["calls"] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(search, "fibers_two_to_one", counting)
+        search_sparse(make_field(n), "trinomial")
+        assert spy["calls"] == calls
+
+    @pytest.mark.parametrize("n,counts", [(5, (12_400, 11_807)), (6, (155_484, 148_939))])
+    def test_scan_counts_pinned(self, n, counts):
+        rep = search_sparse(make_field(n), "trinomial")
+        assert (rep.candidates_scanned, rep.sieve_rejected) == counts
+
+
+# (shape, SHA-256 of report_to_json(include_timing=False), classes, candidates)
+N7_PINS = [
+    ("quadrinomial", "79c53b7708d96aafe5d39397941df3b0310834957f1e905168f9e7224e975411", 120, 317_750),
+    ("binomial", "1db7584da64ca7edb1143facac1dfb5643fa5862c20b932a155c7fdf7c727cd7", 9, 7_497),
+]
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("shape,digest,classes,scanned", N7_PINS, ids=[p[0] for p in N7_PINS])
+def test_n7_long_run_pinned(shape, digest, classes, scanned):
+    rep = search_sparse(make_field(7), shape, long_run=True, workers=2)
+    doc = report_to_json(rep, include_timing=False)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    assert (len(rep.hits), rep.candidates_scanned) == (classes, scanned)
 
 
 class TestTableComparison:
