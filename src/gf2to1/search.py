@@ -5,12 +5,14 @@ One driver and one shard function serve the four templates in SHAPES.  Each
 shape declares there the lowest value of its outer loop: a3 for degree 5,
 the leading exponent k for the sparse shapes.  Candidates are verified by the
 fiber kernel of two2one, fed precomputed power lists and at most two
-coefficient streams; it stops at the first fiber of size 3.  Shard i of W
-scans every W-th outer value from the i-th on, one worker process per shard;
-the cost of a k grows with k, so the strides carry about equal work.  Partial
-hit lists are merged and globally sorted, so a report is byte-identical for
-any worker count.  Every shape is capped at n <= SEARCH_MAX_N, or
-SEARCH_LONG_MAX_N with the long-run flag.
+coefficient streams; it stops at the first fiber of size 3.  The shard items
+are the outer values, or for trinomials the unit-relabelling orbits of the
+exponent pairs (k, l) in template order.  Shard i of W scans every W-th item
+from the i-th on, one worker process per shard; the cost of an item grows
+with k, so the strides carry about equal work.  Partial hit lists are merged
+and globally sorted, so a report is byte-identical for any worker count.
+Every shape is capped at n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the
+long-run flag.
 
 The trinomial and degree-5 templates read f = h + alpha*x, with h the rest of
 the template (x^k + beta*x^l, or x^5 + a3*x^3 + a2*x^2) and h(0) = 0.  For a
@@ -27,6 +29,15 @@ f^sigma = sq o f o sqrt is x^k + beta^2*x^l + alpha^2*x, 2-to-1 exactly when
 f is, so an orbit with a rejected member holds no hit, and one kernel call
 decides all the others.  Binomials (alpha on x^l) and quadrinomials (no free
 coefficient) run the kernel on every candidate.
+
+The trinomial scan sieves one exponent pair per unit-relabelling orbit: for a
+unit e in S = {k, l, 1}, x -> x^(1/e) permutes the field and sends S to S/e,
+which holds 1 again.  After monic normalisation and rescaling this is a
+bijection between the rescaling orbits of (beta, alpha) at (k, l) and at the
+image pair that keeps 2-to-1-ness, so the hits of the orbit's least pair,
+relabelled, are the hits of every member.  Each member still counts its own
+candidates as scanned, and the sieve's rejections at the least pair count
+once per member.
 
 The scan alone decides template membership: each hit carries the number of
 template candidates it stands for, and a class's orbit size is that weight
@@ -101,7 +112,9 @@ class SearchReport:
     candidates_scanned: int
     elapsed_ms: int
     notes: tuple[str, ...] = ()
-    sieve_rejected: int = 0  # candidates the fiber sieve decided without the kernel
+    # candidates the fiber sieve ruled out without the kernel, directly or, for
+    # trinomials, through the unit relabelling of a pair it rejected
+    sieve_rejected: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,35 +163,97 @@ def _coeff_reps_binomial(EXP: list[int], N: int, k: int, l: int, dedupe: str):
     return EXP[: math.gcd(k - l, N)]
 
 
-def _coeff_reps_trinomial(N: int, k: int, l: int, dedupe: str):
-    """(u, w, sigma) for x^k + beta*x^l + alpha*x: the scan takes beta = g^B
-    and alpha = g^A for every B below u and A below w, and sigma(B, A) gives
-    the logs of the scanned pair standing for (beta^2, alpha^2).
+def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
+    """(u, w, rep) for x^k + beta*x^l + alpha*x: the scan takes beta = g^B
+    and alpha = g^A for every B below u and A below w, and rep(B, A), for any
+    integers B and A, gives the logs of the scanned pair in the rescaling
+    orbit of (g^B, g^A).
 
-    dedupe="none" scans every pair, so sigma doubles both logs mod N.  With
+    dedupe="none" scans every pair, so rep reduces both logs mod N.  With
     qm, rescaling by b = g^j maps (beta, alpha) to (beta*b^(l-k),
     alpha*b^(1-k)): in log coordinates the orbit of (B, A) is
     (B, A) + j*(p, q) mod N, so unique representatives are B below
     u = gcd(p, N) and, for the residual stabilizer j in (N/u)Z, A below
-    w = gcd((N/u)*q, N).  sigma doubles the logs, then translates by the j
-    with B + j*p = B mod u (mod N) and reduces A mod w.  Squaring commutes
-    with rescaling, so sigma permutes the representatives and sigma^n is
-    the identity.
+    w = gcd((N/u)*q, N).  rep translates by the j with B + j*p = B mod u
+    (mod N) and reduces A mod w.
     """
     if dedupe != "qm":
-        return N, N, lambda B, A: (2 * B % N, 2 * A % N)
+        return N, N, lambda B, A: (B % N, A % N)
     p = (l - k) % N
     q = (1 - k) % N
     u = math.gcd(p, N)
     w = math.gcd((N // u) * q, N)
     r = pow(p // u, -1, N // u)
 
-    def sigma(B: int, A: int) -> tuple[int, int]:
-        B, A = 2 * B % N, 2 * A % N
+    def rep(B: int, A: int) -> tuple[int, int]:
         j = -(B // u) * r  # j*p = -(B - B % u) mod N
         return B % u, (A + j * q) % w
 
-    return u, w, sigma
+    return u, w, rep
+
+
+def _coeff_reps_trinomial(N: int, k: int, l: int, dedupe: str):
+    """(u, w, sigma): the u and w of _rescaling_reps, and sigma(B, A), the logs
+    of the scanned pair standing for (beta^2, alpha^2).  Squaring commutes
+    with rescaling, so sigma(B, A) = rep(2B, 2A) permutes the
+    representatives, and sigma^n is the identity."""
+    u, w, rep = _rescaling_reps(N, k, l, dedupe)
+    return u, w, lambda B, A: rep(2 * B, 2 * A)
+
+
+def _trinomial_orbits(N: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The unit-relabelling orbits of the trinomial exponent pairs, as
+    (k, l, units) in template order: the orbit's least pair, and for each
+    member the unit e in {1, l, k} that _relabel turns into it.
+
+    For a unit e in S = {k, l, 1}, x -> x^(1/e) sends S to S/e, which holds 1
+    again; its other two exponents, as (k', l') with k' > l', are a template
+    pair, since were they powers of two, e and S would be too.  x^(1/e)
+    permutes the field, so it keeps 2-to-1-ness.  The members of S are its
+    unit multiples that hold 1, the same set seen from any member, so each
+    pair tests locally whether it is the least of its orbit, the one the
+    scan sieves."""
+    inv = [pow(e, -1, N) if math.gcd(e, N) == 1 else 0 for e in range(N)]
+    orbits = []
+    for k in range(3, N):
+        for l in range(2, k):
+            if _is_pow2(k) and _is_pow2(l):
+                continue  # linearized shapes are excluded from the template
+            members, units = [(k, l)], [1]
+            for e, s in ((l, k), (k, l)):  # S/e = {s/e, 1, 1/e}
+                v = inv[e]
+                if not v:
+                    continue
+                a = s * v % N
+                pair = (a, v) if a > v else (v, a)
+                if pair in members:
+                    continue
+                if pair < (k, l):
+                    break
+                members.append(pair)
+                units.append(e)
+            else:
+                orbits.append((k, l, tuple(units)))
+    return orbits
+
+
+def _relabel(N: int, k: int, l: int, e: int, dedupe: str):
+    """(k', l', image) for the unit e in {1, l, k}: x -> x^(1/e) sends
+    x^k + g^B*x^l + g^A*x, divided by its leading coefficient, to a member of
+    the (k', l') template, and image(B, A) gives the scanned logs of that
+    member's rescaling representative.  The log coefficients {k: 0, l: B,
+    1: A} move with their exponents, the leading log is subtracted, and the
+    member's rescaling map reduces the rest.  Rescaling orbits map onto
+    rescaling orbits, so (k', l') has the u*w of (k, l)."""
+    v = pow(e, -1, N)
+    (k2, lead), (l2, mid), (_, low) = sorted(((k * v % N, 0), (l * v % N, 1), (v, 2)), reverse=True)
+    rep = _rescaling_reps(N, k2, l2, dedupe)[2]
+
+    def image(B: int, A: int) -> tuple[int, int]:
+        logs = (0, B, A)
+        return rep(logs[mid] - logs[lead], logs[low] - logs[lead])
+
+    return k2, l2, image
 
 
 def _fiber_sieve(ctx: FieldCtx):
@@ -217,14 +292,16 @@ def _fiber_sieve(ctx: FieldCtx):
 
 def _shard(args) -> tuple[list[tuple], int, int]:
     """(hits, candidates scanned, candidates the fiber sieve rejected) for one
-    stride of a shape's outer loop.  A hit is (terms, weight), the weight the
+    stride of a shape's shard items.  A hit is (terms, weight), the weight the
     size of its monic-rescaling orbit when dedupe="qm" prunes, else 1; the
     rescaling translates the coefficient logs, so one (k, l) has one size.
 
     Every multiply table and power array is built once per shard.  The
-    trinomial scan sieves every candidate of a (k, l), then closes the
-    survivors under the sigma of _coeff_reps_trinomial: a sigma-orbit with a
-    rejected member holds no hit, and one kernel call decides the others."""
+    trinomial scan sieves every candidate of an orbit's least pair (k, l),
+    then closes the survivors under the sigma of _coeff_reps_trinomial: a
+    sigma-orbit with a rejected member holds no hit, and one kernel call
+    decides the others.  _relabel maps the hits to every member of the
+    orbit."""
     n, modulus, shape, dedupe, outer = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
@@ -265,40 +342,42 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     elif shape == "trinomial":
         powers = [_power_array(EXP, N, e) for e in range(N)]
         sieve = _fiber_sieve(ctx)
-        for k in outer:
-            AK = powers[k]
-            k_pow2 = _is_pow2(k)
-            for l in range(2, k):
-                if k_pow2 and _is_pow2(l):
-                    continue  # linearized shapes are excluded from the template
-                AL = powers[l]
-                u, w, sigma = _coeff_reps_trinomial(N, k, l, dedupe)
+        for k, l, units in outer:
+            AK, AL = powers[k], powers[l]
+            u, w, sigma = _coeff_reps_trinomial(N, k, l, dedupe)
+            alphas = EXP[:w]
+            Hs = {}  # B -> the values of x^k + g^B*x^l, for each B with survivors
+            survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
+            for B in range(u):
+                TB = tabs[B]
+                H = [a ^ TB[b] for a, b in zip(AK, AL)]
+                alive = sieve(H, alphas)
+                rejected += (w - len(alive)) * len(units)
+                if alive:
+                    Hs[B] = H
+                    survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
+            scanned += u * w * len(units)  # every member has the u*w of (k, l)
+            found = []  # the (B, A) logs of the hits
+            decided = set()
+            for rep in survivors:
+                if rep in decided:
+                    continue
+                orbit, m = {rep}, rep
+                for _ in range(n - 1):
+                    m = sigma(*m)
+                    orbit.add(m)
+                decided |= orbit
+                if orbit <= survivors.keys():
+                    B, A = rep
+                    if fibers_two_to_one(order, 0, Hs[B], EXP[A], tabs[1], 0, (0,)):
+                        found.extend(orbit)
+            if found:
                 weight = N * N // (u * w)
-                alphas = EXP[:w]
-                Hs = {}  # B -> the values of x^k + g^B*x^l, for each B with survivors
-                survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
-                for B in range(u):
-                    TB = tabs[B]
-                    H = [a ^ TB[b] for a, b in zip(AK, AL)]
-                    alive = sieve(H, alphas)
-                    rejected += len(alphas) - len(alive)
-                    if alive:
-                        Hs[B] = H
-                        survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
-                scanned += u * w
-                decided = set()
-                for rep in survivors:
-                    if rep in decided:
-                        continue
-                    orbit, m = {rep}, rep
-                    for _ in range(n - 1):
-                        m = sigma(*m)
-                        orbit.add(m)
-                    decided |= orbit
-                    if orbit <= survivors.keys():
-                        B, A = rep
-                        if fibers_two_to_one(order, 0, Hs[B], EXP[A], tabs[1], 0, (0,)):
-                            hits.extend((((k, 1), (l, EXP[B]), (1, EXP[A])), weight) for B, A in orbit)
+                for e in units:
+                    k2, l2, image = _relabel(N, k, l, e, dedupe)
+                    for B, A in found:
+                        B, A = image(B, A)
+                        hits.append((((k2, 1), (l2, EXP[B]), (1, EXP[A])), weight))
     else:  # quadrinomial
         for k in outer:
             AK = _power_array(EXP, N, k)
@@ -311,10 +390,11 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     return hits, scanned, rejected
 
 
-def _strides(lo: int, hi: int, workers: int) -> list[range]:
-    """range(lo, hi) dealt into W = min(workers, hi - lo) strides, one per shard."""
-    W = min(workers, len(range(lo, hi)))
-    return [range(lo + i, hi, W) for i in range(W)]
+def _strides(items, workers: int) -> list:
+    """items dealt round-robin into W = min(workers, len(items)) strides, one
+    per shard; a range slices into ranges."""
+    W = min(workers, len(items))
+    return [items[i::W] for i in range(W)]
 
 
 def _run_shards(fn, shard_args):
@@ -393,10 +473,11 @@ def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int
             f" [{SHAPES[shape]}, 2^n - 1) has no value), got n={ctx.n}"
         )
     t0 = time.monotonic()
-    shards = [
-        (ctx.n, ctx.modulus, shape, dedupe, outer)
-        for outer in _strides(SHAPES[shape], hi, workers)
-    ]
+    if shape == "trinomial":
+        items = _trinomial_orbits(ctx.order - 1)
+    else:
+        items = range(SHAPES[shape], hi)
+    shards = [(ctx.n, ctx.modulus, shape, dedupe, outer) for outer in _strides(items, workers)]
     raw: dict[tuple, int] = {}
     scanned = rejected = 0
     for hits, cnt, rej in _run_shards(_shard, shards):

@@ -376,7 +376,7 @@ RENDERINGS = [
     (
         "search --shape trinomial --n 4 --workers 1",
         0,
-        "4d5774da0f6a34deaa0d1c895bae91da72e5d2a5268c58190680f40dcf8ab3df",
+        "70856da3eff364369bdba9bd5330de8d11144c6d4c7e5cc3671fb7f2b3c9259a",
     ),
     (
         "search --shape degree5 --n 3 --workers 1 --format json",

@@ -109,11 +109,12 @@ def per_hit_hits(ctx, shape, dedupe, raw):
     return tuple(Hit(p, len(qm_shape_orbit(p, pred))) for p in polys)
 
 
-# each shape's outer loop, from its template: a3 over GF(2^n), else k up to 2^n - 2
+# each shape's shard items: a3 over GF(2^n), the (k, l, units) of each
+# unit-relabelling orbit of trinomial exponent pairs, else k up to 2^n - 2
 OUTER = {
     "degree5": lambda order: range(order),
     "binomial": lambda order: range(3, order - 1),
-    "trinomial": lambda order: range(3, order - 1),
+    "trinomial": lambda order: search._trinomial_orbits(order - 1),
     "quadrinomial": lambda order: range(4, order - 1),
 }
 
@@ -293,12 +294,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n,shape", [(n, s) for n in (3, 4, 5) for s in SHAPES])
     def test_shards_partition_the_exponent_range(self, n, shape, monkeypatch):
+        # trinomial shards partition the orbit representatives, whose members
+        # partition the exponent pairs (TestUnitRelabelling)
         ctx = make_field(n)
         N = ctx.order - 1
         scanned = set(OUTER[shape](ctx.order))
         shards = []
 
-        def record(fn, shard_args):  # keeps the exponent ranges, scans nothing
+        def record(fn, shard_args):  # keeps the shard items, scans nothing
             shards.append([set(a[-1]) for a in shard_args])
             return [([], 0, 0)] * len(shard_args)
 
@@ -344,7 +347,7 @@ class TestDeterminism:
         ctx = make_field(n)
         outer = OUTER[shape](ctx.order)
         for workers in range(1, len(outer) + 1):
-            for stride in search._strides(outer.start, outer.stop, workers):
+            for stride in search._strides(outer, workers):
                 _, scanned, _ = search._shard((n, ctx.modulus, shape, "qm", stride))
                 assert scanned > 0, (workers, stride)
 
@@ -480,23 +483,131 @@ class TestFrobeniusStep:
                 seen.update(cycle)
                 assert n % len(cycle) == 0, (k, l, cycle)
 
-    @pytest.mark.parametrize("n,calls", [(4, 3), (5, 8), (6, 87)])
+    @pytest.mark.parametrize("n,calls", [(4, 2), (5, 3), (6, 49)])
     def test_one_kernel_call_per_orbit_of_survivors(self, n, calls, monkeypatch):
-        spy = Counter()
-        kernel = search.fibers_two_to_one
+        assert kernel_calls(make_field(n), monkeypatch) == calls
 
-        def counting(*args):
-            spy["calls"] += 1
-            return kernel(*args)
-
-        monkeypatch.setattr(search, "fibers_two_to_one", counting)
-        search_sparse(make_field(n), "trinomial")
-        assert spy["calls"] == calls
-
-    @pytest.mark.parametrize("n,counts", [(5, (12_400, 11_807)), (6, (155_484, 148_939))])
+    @pytest.mark.parametrize("n,counts", [(5, (12_400, 11_764)), (6, (155_484, 148_779))])
     def test_scan_counts_pinned(self, n, counts):
         rep = search_sparse(make_field(n), "trinomial")
         assert (rep.candidates_scanned, rep.sieve_rejected) == counts
+
+
+def kernel_calls(ctx, monkeypatch):
+    """The fiber kernel calls of a qm trinomial search at one worker."""
+    spy = Counter()
+    kernel = search.fibers_two_to_one
+
+    def counting(*args):
+        spy["calls"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "fibers_two_to_one", counting)
+    search_sparse(ctx, "trinomial")
+    return spy["calls"]
+
+
+def pairs_as_own_orbits(N):
+    """A representative builder under which every exponent pair is its own orbit."""
+    return [(k, l, (1,)) for k, l in trinomial_exponent_pairs(N)]
+
+
+def literal_orbit(N, pairs, k, l):
+    """The template pairs among the unit multiples t*{k, l, 1} that hold 1,
+    found by trying every unit t mod N."""
+    out = set()
+    for t in range(1, N):
+        if math.gcd(t, N) == 1:
+            image = sorted((k * t % N, l * t % N, t), reverse=True)
+            if image[2] == 1 and tuple(image[:2]) in pairs:
+                out.add(tuple(image[:2]))
+    return out
+
+
+class TestUnitRelabelling:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_members_partition_the_exponent_pairs(self, n):
+        N = 2**n - 1
+        orbits = search._trinomial_orbits(N)
+        assert [(k, l) for k, l, _ in orbits] == sorted((k, l) for k, l, _ in orbits)  # template order
+        members = {(k, l): [search._relabel(N, k, l, e, "none")[:2] for e in units] for k, l, units in orbits}
+        flat = [m for ms in members.values() for m in ms]
+        assert len(flat) == len(set(flat))
+        assert sorted(flat) == trinomial_exponent_pairs(N)
+        pairs = set(flat)
+        for k, l, units in orbits:
+            assert units[0] == 1 and all(e in (k, l) and math.gcd(e, N) == 1 for e in units[1:])
+            assert min(members[k, l]) == (k, l)
+            if n <= 7:  # one relabelling orbit, and its least pair
+                assert set(members[k, l]) == literal_orbit(N, pairs, k, l), (k, l)
+
+    @pytest.mark.parametrize("dedupe", ["none", "qm"])
+    @pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.long)])
+    def test_image_is_the_literal_substitution(self, n, dedupe):
+        # x^k + g^B*x^l + g^A*x at x -> x^(1/e), divided by its leading
+        # coefficient, then reduced over the literal rescaling orbit
+        ctx = make_field(n)
+        N = ctx.order - 1
+        EXP = ctx.log_tables()[0]
+        reps = {}  # (k', l') -> every (beta, alpha) -> the scanned logs of its orbit
+
+        def rep_of(k, l):
+            key = (k, l) if dedupe == "qm" else None  # without rescaling one table serves every (k, l)
+            if key not in reps:
+                u, w, _ = search._coeff_reps_trinomial(N, k, l, dedupe)
+                table = {}
+                for b in ctx.nonzero() if dedupe == "qm" else (1,):
+                    sb = ctx.div(ctx.pow(b, l), ctx.pow(b, k))
+                    sa = ctx.div(b, ctx.pow(b, k))
+                    for B in range(u):
+                        for A in range(w):
+                            table[ctx.mul(EXP[B], sb), ctx.mul(EXP[A], sa)] = (B, A)
+                assert len(table) == N * N
+                reps[key] = table
+            return reps[key]
+
+        for k, l, units in search._trinomial_orbits(N):
+            u, w, _ = search._coeff_reps_trinomial(N, k, l, dedupe)
+            for e in units:
+                k2, l2, image = search._relabel(N, k, l, e, dedupe)
+                u2, w2, _ = search._coeff_reps_trinomial(N, k2, l2, dedupe)
+                assert u2 * w2 == u * w  # the shard counts u*w candidates per member
+                v = pow(e, -1, N)
+                assert ctx.pow(ctx.pow(ctx.generator, e), v) == ctx.generator  # x^(1/e)
+                xk, xl, x1 = k * v % N, l * v % N, v  # where x^k, x^l and x land
+                assert sorted((xk, xl, x1)) == [1, l2, k2]
+                table = rep_of(k2, l2)
+                for B in range(u):
+                    for A in range(w):
+                        coeffs = {xk: 1, xl: EXP[B], x1: EXP[A]}
+                        lead = coeffs[k2]
+                        want = table[ctx.div(coeffs[l2], lead), ctx.div(coeffs[1], lead)]
+                        assert image(B, A) == want, (k, l, e, B, A)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n,dedupe",
+        [(n, d) for n in (3, 4, 5) for d in ("qm", "none")]
+        + [(6, "qm"), pytest.param(6, "none", marks=pytest.mark.long)],
+    )
+    def test_reports_match_the_relabel_off_scan(self, n, dedupe, workers, monkeypatch):
+        ctx = make_field(n)
+        relabelled = search_sparse(ctx, "trinomial", dedupe, workers=workers)
+        monkeypatch.setattr(search, "_trinomial_orbits", pairs_as_own_orbits)
+        plain = search_sparse(ctx, "trinomial", dedupe, workers=workers)
+        assert report_to_json(relabelled, include_timing=False) == report_to_json(plain, include_timing=False)
+        assert relabelled.candidates_scanned == plain.candidates_scanned
+        if dedupe == "qm" and n in RELABEL_OFF_REJECTED:
+            assert plain.sieve_rejected == RELABEL_OFF_REJECTED[n]
+
+    @pytest.mark.parametrize("n,calls", [(4, 3), (5, 8), (6, 87)])
+    def test_relabel_off_kernel_calls_pinned(self, n, calls, monkeypatch):
+        monkeypatch.setattr(search, "_trinomial_orbits", pairs_as_own_orbits)
+        assert kernel_calls(make_field(n), monkeypatch) == calls
+
+
+# the sieve rejections of the qm trinomial scan of every exponent pair
+RELABEL_OFF_REJECTED = {4: 1_294, 5: 11_807, 6: 148_939}
 
 
 # (shape, SHA-256 of report_to_json(include_timing=False), classes, candidates)
