@@ -159,13 +159,13 @@ class FieldCtx:
     """An instance of GF(2^n): extension degree, modulus bits and the generator they determine.
 
     Up to LOG_TABLE_MAX_N the context keeps the discrete-log pair that
-    log_tables() returns, and mul, sqr, pow, inv, frobenius and sqrt are
-    lookups.  Above the cap they run the shift-and-xor loop.  Up to n = 17
-    it also keeps the Frobenius-orbit tables that orbit_tables() returns,
-    which the verifier reads for polynomials with coefficients in GF(2).  The
-    tables and the trace mask are built on first use, so a context that is
-    only built, compared or labelled costs what it did without them; they
-    are not part of the field's identity.
+    log_tables() returns, and mul, sqr and pow are lookups; above the cap
+    they run the shift-and-xor loop.  The other operations go through them.
+    Up to n = 17 it also keeps the Frobenius-orbit tables that orbit_tables()
+    returns, which the verifier reads for polynomials with coefficients in
+    GF(2).  The tables and the trace mask are built on first use, so a
+    context that is only built, compared or labelled costs what it did
+    without them; they are not part of the field's identity.
     """
 
     __slots__ = ("n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_orbits", "_tmask")
@@ -307,11 +307,7 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative inverse")
-        N = self.order - 1
-        L = self._log or self._tables()
-        if L is None:
-            return _pow_bits(a, N - 1, self.modulus, self.order)
-        return self._exp[N - L[a]]
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         """a^e with the conventions 0^0 = 1 and 0^e = 0 for e > 0.
@@ -358,14 +354,7 @@ class FieldCtx:
 
     def frobenius(self, x: int, j: int) -> int:
         """x^(2^j)."""
-        j %= self.n
-        L = self._log or self._tables()
-        if L is None:
-            m, top = self.modulus, self.order
-            for _ in range(j):
-                x = _mul_bits(x, x, m, top)
-            return x
-        return self._exp[(L[x] << j) % (self.order - 1)] if x else 0
+        return self.pow(x, 1 << (j % self.n))
 
     def sqrt(self, x: int) -> int:
         """The unique square root x^(2^(n-1))."""

@@ -59,20 +59,13 @@ class FactorPattern(Enum):
 def solve_artin_schreier(ctx: FieldCtx, c: int) -> int:
     """One solution of z^2 + z = c; requires trace_abs(c) = 0.
 
-    Odd n uses the half trace.  Even n uses the trace-dual sum of theta_i c^(2^i)
-    over i = 1..n-1, theta_i = delta + delta^2 + ... + delta^(2^(i-1)), with delta
-    = ctx.trace_one, the lowest basis element of trace 1; at delta = 1 it is
-    the half trace.
+    The trace-dual sum of theta_i c^(2^i) over i = 1..n-1, theta_i = delta +
+    delta^2 + ... + delta^(2^(i-1)), with delta = ctx.trace_one, the lowest
+    basis element of trace 1.  At odd n, delta = 1 and theta_i alternates 1, 0,
+    so the sum runs over odd i; as trace(c) = 0 it equals the half trace.
     """
     if ctx.trace_abs(c) != 0:
         raise ValueError("z^2 + z = c is unsolvable: trace(c) = 1")
-    if ctx.n % 2 == 1:
-        acc = c
-        t = c
-        for _ in range((ctx.n - 1) // 2):
-            t = ctx.sqr(ctx.sqr(t))
-            acc ^= t
-        return acc
     delta = ctx.trace_one
     z, theta, t = 0, delta, c
     for _ in range(ctx.n - 1):

@@ -1,18 +1,19 @@
 """Exhaustive enumeration engines for 2-to-1 polynomial searches, with
 deterministic reporting and comparison against the bundled reference tables.
 
-One driver and one shard function serve the four templates in SHAPES.  Each
-shape declares there the lowest value of its outer loop: a3 for degree 5,
-the leading exponent k for the sparse shapes.  Candidates are verified by the
-fiber kernel of two2one, fed precomputed power lists and at most two
-coefficient streams; it stops at the first fiber of size 3.  The shard items
-are the outer values, or for trinomials the unit-relabelling orbits of the
-exponent pairs (k, l) in template order.  Shard i of W scans every W-th item
-from the i-th on, one worker process per shard; the cost of an item grows
-with k, so the strides carry about equal work.  Partial hit lists are merged
-and globally sorted, so a report is byte-identical for any worker count.
-Every shape is capped at n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the
-long-run flag.
+One driver and one shard function serve the four templates in SHAPES, which
+declares each shape's shard items: every a3 for degree 5, the leading
+exponent k for binomials and quadrinomials, and for trinomials the
+unit-relabelling orbits of the exponent pairs (k, l) in template order.
+Every shard builds one table set, read by every shape: the multiply table of
+each field element and the power list of each exponent.  Candidates are
+verified by the fiber kernel of two2one, fed a power list and at most two
+coefficient streams; it stops at the first fiber of size 3.  Shard i of W
+scans every W-th item from the i-th on, one worker process per shard; the
+cost of an item grows with k, so the strides carry about equal work.
+Partial hit lists are merged and globally sorted, so a report is
+byte-identical for any worker count.  Every shape is capped at
+n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the long-run flag.
 
 The trinomial and degree-5 templates read f = h + alpha*x, with h the rest of
 the template (x^k + beta*x^l, or x^5 + a3*x^3 + a2*x^2) and h(0) = 0.  For a
@@ -27,8 +28,9 @@ scanned, and the report's sieve_rejected says how many the sieve decided.
 Trinomial survivors then go to the kernel one Frobenius orbit at a time:
 f^sigma = sq o f o sqrt is x^k + beta^2*x^l + alpha^2*x, 2-to-1 exactly when
 f is, so an orbit with a rejected member holds no hit, and one kernel call
-decides all the others.  Binomials (alpha on x^l) and quadrinomials (no free
-coefficient) run the kernel on every candidate.
+decides all the others.  Binomials (alpha on x^l, which rescaling moves as it
+moves the trinomial's beta) and quadrinomials (no free coefficient) run the
+kernel on every candidate.
 
 The trinomial scan sieves one exponent pair per unit-relabelling orbit: for a
 unit e in S = {k, l, 1}, x -> x^(1/e) permutes the field and sends S to S/e,
@@ -71,11 +73,16 @@ from .two2one import (
 SEARCH_MAX_N = 6
 SEARCH_LONG_MAX_N = 7
 
-# shape -> lowest value of its outer loop: a3 runs over the whole field; the
-# exponent k starts at 3 for binomials (k = 2 gives x^2 + alpha*x, always in
-# the linearized class), at 3 for trinomials (k > l > 1) and at 4 for
-# quadrinomials (k > l > d > 1)
-SHAPES = {"degree5": 0, "binomial": 3, "trinomial": 3, "quadrinomial": 4}
+# shape -> its shard items, given N = 2^n - 1: a3 runs over the whole field;
+# the exponent k starts at 3 for binomials (k = 2 gives x^2 + alpha*x, always
+# in the linearized class) and at 4 for quadrinomials (k > l > d > 1); the
+# trinomial pairs (k > l > 1) come one unit-relabelling orbit at a time
+SHAPES = {
+    "degree5": lambda N: range(N + 1),
+    "binomial": lambda N: range(3, N),
+    "trinomial": lambda N: _trinomial_orbits(N),
+    "quadrinomial": lambda N: range(4, N),
+}
 
 # table -> (shape, dedupe, field degrees) of the searches that reproduce it
 TABLE_RUNS = {
@@ -125,49 +132,29 @@ def _is_pow2(v: int) -> bool:
     return v & (v - 1) == 0
 
 
-def _pow2_residues(N: int) -> frozenset[int]:
-    out = set()
-    v = 1
-    while v not in out:
-        out.add(v)
-        v = 2 * v % N
-    return frozenset(out)
-
-
-def _binomial_is_linearized_class(k: int, l: int, N: int, pow2: frozenset[int]) -> bool:
+def _binomial_is_linearized_class(k: int, l: int, N: int) -> bool:
     """Whether x^k + c*x^l is equivalent to a linearized binomial.
 
     Substituting x^d multiplies both exponents by d mod N; the pair lands on
     two powers of two exactly when k/l is itself a power of two mod N (both
-    exponents must be units for that to happen at all).
+    exponents must be units for that to happen at all).  The residues of 2^i
+    mod N = 2^n - 1 are the powers of two below 2^n.
     """
     if math.gcd(k, N) != 1 or math.gcd(l, N) != 1:
         return False
-    return k * pow(l, -1, N) % N in pow2
+    return _is_pow2(k * pow(l, -1, N) % N)
 
 
 # ---------------------------------------------------------------------------
 # worker internals
 
 
-def _power_array(EXP: list[int], N: int, e: int) -> list[int]:
-    """[x^e for x = g^i], read from the antilog table EXP of FieldCtx.log_tables()."""
-    return [EXP[i * e % N] for i in range(N)]
-
-
-def _coeff_reps_binomial(EXP: list[int], N: int, k: int, l: int, dedupe: str):
-    """One alpha per scaling orbit: monic rescaling sends alpha to
-    alpha*b^(l-k), so representatives are g^A with A below gcd(k-l, 2^n-1)."""
-    if dedupe != "qm":
-        return range(1, N + 1)
-    return EXP[: math.gcd(k - l, N)]
-
-
 def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
     """(u, w, rep) for x^k + beta*x^l + alpha*x: the scan takes beta = g^B
     and alpha = g^A for every B below u and A below w, and rep(B, A), for any
     integers B and A, gives the logs of the scanned pair in the rescaling
-    orbit of (g^B, g^A).
+    orbit of (g^B, g^A).  The binomial x^k + alpha*x^l takes its alpha = g^B
+    for every B below u.
 
     dedupe="none" scans every pair, so rep reduces both logs mod N.  With
     qm, rescaling by b = g^j maps (beta, alpha) to (beta*b^(l-k),
@@ -282,7 +269,7 @@ def _fiber_sieve(ctx: FieldCtx):
             if j is not None:  # slot j counted y = x0 as a 0; its value is y = 0's
                 counts[0] -= 1
                 counts[EXP[LOG[hx] + neg[j]]] += 1
-            alphas = [a for a in alphas if counts[a] == 1]
+            alphas = [a for a in alphas if counts.get(a) == 1]
             if not alphas:
                 break
         return alphas
@@ -296,25 +283,26 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     size of its monic-rescaling orbit when dedupe="qm" prunes, else 1; the
     rescaling translates the coefficient logs, so one (k, l) has one size.
 
-    Every multiply table and power array is built once per shard.  The
-    trinomial scan sieves every candidate of an orbit's least pair (k, l),
-    then closes the survivors under the sigma of _coeff_reps_trinomial: a
-    sigma-orbit with a rejected member holds no hit, and one kernel call
-    decides the others.  _relabel maps the hits to every member of the
-    orbit."""
-    n, modulus, shape, dedupe, outer = args
+    One table set per shard serves every shape: tabs[c] multiplies by c, and
+    powers[e] holds x^e at x = g^i.  The trinomial scan sieves every
+    candidate of an orbit's least pair (k, l), then closes the survivors
+    under the sigma of _coeff_reps_trinomial: a sigma-orbit with a rejected
+    member holds no hit, and one kernel call decides the others.  _relabel
+    maps the hits to every member of the orbit."""
+    n, modulus, shape, dedupe, items = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
     N = order - 1
     EXP, LOG = ctx.log_tables()
+    tabs = [ctx.mul_table(c) for c in range(order)]
+    powers = [[EXP[i * e % N] for i in range(N)] for e in range(N)]
+    tg = tabs[ctx.generator]
     hits: list[tuple] = []
     scanned = rejected = 0
     if shape == "degree5":
-        A5, A3, A2 = (_power_array(EXP, N, e) for e in (5, 3, 2))
-        tabs = [ctx.mul_table(c) for c in range(order)]  # read as both T3 and T2
-        tg = tabs[ctx.generator]
+        A5, A3, A2 = powers[5], powers[3], powers[2]
         sieve = _fiber_sieve(ctx)
-        for a3 in outer:
+        for a3 in items:
             T3 = tabs[a3]
             for a2, T2 in enumerate(tabs):
                 W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
@@ -324,32 +312,28 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 for a1 in survivors:
                     if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
                         hits.append((tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]), 1))
-        return hits, scanned, rejected
-    tabs = [ctx.mul_table(EXP[e]) for e in range(N)]  # tabs[e]: multiplication by g^e
-    if shape == "binomial":
-        pow2 = _pow2_residues(N)
-        for k in outer:
-            AK = _power_array(EXP, N, k)
+    elif shape == "binomial":
+        for k in items:
+            AK = powers[k]
             for l in range(1, k):
-                if _binomial_is_linearized_class(k, l, N, pow2):
+                if _binomial_is_linearized_class(k, l, N):
                     continue  # the linearized class is set aside
-                reps = _coeff_reps_binomial(EXP, N, k, l, dedupe)
-                weight = N // len(reps)
-                for alpha in reps:
+                u = _rescaling_reps(N, k, l, dedupe)[0]
+                TL = tabs[EXP[l]]
+                for alpha in EXP[:u]:
                     scanned += 1
-                    if fibers_two_to_one(order, 0, AK, alpha, tabs[l], 0, (0,)):
-                        hits.append((((k, 1), (l, alpha)), weight))
+                    if fibers_two_to_one(order, 0, AK, alpha, TL, 0, (0,)):
+                        hits.append((((k, 1), (l, alpha)), N // u))
     elif shape == "trinomial":
-        powers = [_power_array(EXP, N, e) for e in range(N)]
         sieve = _fiber_sieve(ctx)
-        for k, l, units in outer:
+        for k, l, units in items:
             AK, AL = powers[k], powers[l]
             u, w, sigma = _coeff_reps_trinomial(N, k, l, dedupe)
             alphas = EXP[:w]
             Hs = {}  # B -> the values of x^k + g^B*x^l, for each B with survivors
             survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
             for B in range(u):
-                TB = tabs[B]
+                TB = tabs[EXP[B]]
                 H = [a ^ TB[b] for a, b in zip(AK, AL)]
                 alive = sieve(H, alphas)
                 rejected += (w - len(alive)) * len(units)
@@ -369,7 +353,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 decided |= orbit
                 if orbit <= survivors.keys():
                     B, A = rep
-                    if fibers_two_to_one(order, 0, Hs[B], EXP[A], tabs[1], 0, (0,)):
+                    if fibers_two_to_one(order, 0, Hs[B], EXP[A], tg, 0, (0,)):
                         found.extend(orbit)
             if found:
                 weight = N * N // (u * w)
@@ -379,13 +363,14 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                         B, A = image(B, A)
                         hits.append((((k2, 1), (l2, EXP[B]), (1, EXP[A])), weight))
     else:  # quadrinomial
-        for k in outer:
-            AK = _power_array(EXP, N, k)
+        for k in items:
+            AK = powers[k]
             base = [AK[i] ^ EXP[i] for i in range(N)]  # x^k + x
             for l in range(3, k):
+                TL = tabs[EXP[l]]
                 for d in range(2, l):
                     scanned += 1
-                    if fibers_two_to_one(order, 0, base, 1, tabs[l], 1, tabs[d]):
+                    if fibers_two_to_one(order, 0, base, 1, TL, 1, tabs[EXP[d]]):
                         hits.append((((k, 1), (l, 1), (d, 1), (1, 1)), 1))
     return hits, scanned, rejected
 
@@ -464,20 +449,11 @@ def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int
     if ctx.n > cap:
         hint = "" if long_run else f" (pass the long-run flag for n={SEARCH_LONG_MAX_N})"
         raise ValueError(f"{shape} search capped at n={cap}, got n={ctx.n}{hint}")
-    if shape == "degree5" and ctx.n < 3:
-        raise ValueError(f"degree5 search needs n >= 3 (x^5 = x^2 on GF(4)), got n={ctx.n}")
-    hi = ctx.order if shape == "degree5" else ctx.order - 1
-    if SHAPES[shape] >= hi:
-        raise ValueError(
-            f"{shape} search needs n >= 3 (the template's leading exponent k in"
-            f" [{SHAPES[shape]}, 2^n - 1) has no value), got n={ctx.n}"
-        )
+    if ctx.n < 3:
+        raise ValueError(f"{shape} search needs n >= 3, got n={ctx.n}")
     t0 = time.monotonic()
-    if shape == "trinomial":
-        items = _trinomial_orbits(ctx.order - 1)
-    else:
-        items = range(SHAPES[shape], hi)
-    shards = [(ctx.n, ctx.modulus, shape, dedupe, outer) for outer in _strides(items, workers)]
+    items = SHAPES[shape](ctx.order - 1)
+    shards = [(ctx.n, ctx.modulus, shape, dedupe, stride) for stride in _strides(items, workers)]
     raw: dict[tuple, int] = {}
     scanned = rejected = 0
     for hits, cnt, rej in _run_shards(_shard, shards):

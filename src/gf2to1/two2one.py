@@ -54,7 +54,6 @@ __all__ = [
     "qm_transforms",
     "qm_canonical",
     "qm_shape_orbit",
-    "FamilyId",
     "FAMILY_TAGS",
     "family_admissibility_error",
     "admissible_family_tags",
@@ -330,18 +329,6 @@ def qm_shape_orbit(f: SparsePoly, shape_ok=None) -> set[tuple]:
 # constructive families
 
 
-@dataclass(frozen=True)
-class FamilyId:
-    tag: str
-    n: int
-
-    def admissibility_error(self) -> str | None:
-        return family_admissibility_error(self.tag, self.n)
-
-    def __str__(self) -> str:
-        return f"{self.tag}@n={self.n}"
-
-
 def alpha_roots(ctx: FieldCtx, m: int) -> list[int]:
     """All roots of z^(2^m) + z + 1 in the field: the tri_I parameter at
     n = 2m, and at m = 1 the elements of order 3 that tri_II takes.
@@ -547,7 +534,7 @@ def admissible_family_tags(n: int) -> list[str]:
     return [t for t in FAMILY_TAGS if _FAMILIES[t][0](n) is None]
 
 
-def make_family(tag: str | FamilyId, ctx: FieldCtx, param: int | None = None) -> SparsePoly:
+def make_family(tag: str, ctx: FieldCtx, param: int | None = None) -> SparsePoly:
     """The literal polynomial of the named family over ctx.
 
     Element parameters (alpha, omega) are the lexicographically smallest
@@ -555,10 +542,6 @@ def make_family(tag: str | FamilyId, ctx: FieldCtx, param: int | None = None) ->
     the degree-5 family rows take any nonzero param, and the other families
     none.  Inadmissible n or param is rejected with the violated condition.
     """
-    if isinstance(tag, FamilyId):
-        if tag.n != ctx.n:
-            raise ValueError(f"{tag} does not match the field degree n={ctx.n}")
-        tag = tag.tag
     tag = _normalize_tag(tag)
     adm, build = _FAMILIES[tag]
     err = adm(ctx.n)

@@ -161,7 +161,7 @@ class TestDegree5:
     )
     def test_n_below_3_rejected(self, shape, dedupe):
         # on GF(4) x^5 = x^2, so the degree-5 template is not a quintic there;
-        # the sparse templates have no leading exponent k in [SHAPES[shape], 3)
+        # the sparse templates' items, SHAPES[shape](3), hold no exponents
         with pytest.raises(ValueError, match="needs n >= 3"):
             search_sparse(make_field(2), shape, dedupe=dedupe)
 

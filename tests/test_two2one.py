@@ -472,16 +472,6 @@ class TestFamilies:
     def test_tag_normalization(self):
         assert make_family("quad_1", F8) == make_family("quad_01", F8)
 
-    def test_family_id_value_type(self):
-        from gf2to1.two2one import FamilyId
-
-        fid = FamilyId("quad_01", 3)
-        assert fid.admissibility_error() is None
-        assert make_family(fid, F8) == make_family("quad_01", F8)
-        assert FamilyId("quad_12", 12).admissibility_error() is not None
-        with pytest.raises(ValueError, match="does not match"):
-            make_family(FamilyId("quad_01", 5), F8)
-
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_alpha_roots_match_frobenius_scan(self, n):
         ctx = make_field(n)
