@@ -44,7 +44,10 @@ once per member.
 The scan alone decides template membership: each hit carries the number of
 template candidates it stands for, and a class's orbit size is that weight
 summed over the distinct raw hits in its QM orbit.  One walk over the QM
-transforms of a class finds both those raw hits and its canonical.  The hits
+transforms of a class finds both those raw hits and its canonical.  When
+every raw hit has coefficients 1, as in every quadrinomial search, that walk
+is over the phi(N) unit relabellings x -> x^d of the class alone, since no
+other transform of it has all coefficients 1.  The hits
 of a qm report are the canonicals of their classes, and the table comparisons
 read them as they are.
 """
@@ -68,6 +71,7 @@ from .two2one import (
     make_family,
     qm_canonical,
     qm_transforms,
+    qm_unit_transforms,
 )
 
 SEARCH_MAX_N = 6
@@ -407,17 +411,26 @@ def _finalize(
     notes: tuple[str, ...] = (),
     sieve_rejected: int = 0,
 ) -> SearchReport:
-    """One qm_transforms walk per class; raw maps each raw hit to its shard
+    """One transform walk per class; raw maps each raw hit to its shard
     weight.  The walk keeps the least transform, the class's canonical, and
     the transforms that are raw hits.  A template member of a 2-to-1 class
     is 2-to-1, so its scaling representative is a raw hit, and the orbit size
     (the template candidates the class explains) is the weight summed over
     the class's distinct raw hits: a class with a stabiliser yields some
-    transforms more than once."""
+    transforms more than once.
+
+    When every raw hit's coefficients are 1 (every quadrinomial search, and
+    the qm binomial searches up to the cap, whose raw hits all have
+    alpha = 1) the walk is qm_unit_transforms, phi(N) exponent tuples: the
+    transforms of such a class whose coefficients are all 1 are its unit
+    transforms, so they hold every raw hit of the class and its canonical.
+    Any other raw set takes the full qm_transforms walk of N * phi(N)
+    transforms."""
+    transforms = qm_unit_transforms if all(c == 1 for t in raw for _, c in t) else qm_transforms
     classes: dict[tuple, Hit] = {}
     for t in raw:
         if t not in classes:
-            walk = qm_transforms(SparsePoly(ctx, t))
+            walk = transforms(SparsePoly(ctx, t))
             best = next(walk)
             members = {best} & raw.keys()
             for m in walk:

@@ -52,6 +52,7 @@ __all__ = [
     "o_orbit",
     "square_map",
     "qm_transforms",
+    "qm_unit_transforms",
     "qm_canonical",
     "qm_shape_orbit",
     "FAMILY_TAGS",
@@ -287,13 +288,8 @@ def qm_transforms(f: SparsePoly):
     N = ctx.order - 1
     exps = fr.exponents()
     logs = [LOG[c] for c in fr.coeffs()]
-    for d in range(1, N + 1):
-        if math.gcd(d, N) != 1:
-            continue
-        new_exps = [(e * d - 1) % N + 1 if e > 0 else 0 for e in exps]
-        order_ix = sorted(range(len(exps)), key=lambda j: -new_exps[j])
+    for order_ix, sorted_exps in _unit_relabellings(exps, N):
         lead = order_ix[0]
-        sorted_exps = [new_exps[j] for j in order_ix]
         columns = [
             [EXP[(logs[j] - logs[lead] + B * (exps[j] - exps[lead])) % N] for B in range(N)]
             for j in order_ix
@@ -302,17 +298,52 @@ def qm_transforms(f: SparsePoly):
             yield tuple(zip(sorted_exps, row))
 
 
+def qm_unit_transforms(f: SparsePoly):
+    """Yield the term tuple of f(x^d) for every unit d mod N = 2^n - 1, with
+    the reduced exponents in descending order and every coefficient 1.
+
+    When every reduced coefficient of f is 1, these are exactly the transforms
+    of f whose coefficients are all 1: coefficient j of the monic transform
+    a*f(b*x^d) is b^(e_j - e_lead), so it is 1 for every j only when b fixes
+    every term, and the transform is then the b = 1 one.  It guards like qm_transforms:
+    the zero polynomial and n > LOG_TABLE_MAX_N raise ValueError.
+    """
+    ctx = f.ctx
+    fr = reduce_exponents(f)
+    if fr.is_zero:
+        raise ValueError("the zero polynomial has no transforms")
+    ctx.log_tables()
+    for _, sorted_exps in _unit_relabellings(fr.exponents(), ctx.order - 1):
+        yield tuple((e, 1) for e in sorted_exps)
+
+
+def _unit_relabellings(exps, N: int):
+    """For each unit d mod N, ascending: the term order of x -> x^d applied
+    to terms with these reduced exponents (indices into exps, leading term
+    first) and the new exponents in that order."""
+    for d in range(1, N + 1):
+        if math.gcd(d, N) == 1:
+            new_exps = [(e * d - 1) % N + 1 if e > 0 else 0 for e in exps]
+            order_ix = sorted(range(len(exps)), key=lambda j: -new_exps[j])
+            yield order_ix, [new_exps[j] for j in order_ix]
+
+
 def qm_canonical(f: SparsePoly) -> SparsePoly:
     """The least transform term tuple: (exponent, coefficient) pairs compared
     lexicographically from the leading term down, so a coefficient ranks
     before every lower exponent.
 
     Two polynomials are QM-equivalent exactly when their canonicals agree.
-    Cost is (2^n - 1) * phi(2^n - 1) transforms; intended for dedupe, never
+    When every reduced coefficient is 1 the canonical is the least of the
+    phi(2^n - 1) exponent tuples of qm_unit_transforms: every transform has
+    lead coefficient 1, and for each d the exponents are fixed and b = 1 sets
+    every other coefficient to 1, the least nonzero element.  Otherwise the
+    cost is (2^n - 1) * phi(2^n - 1) transforms; intended for dedupe, never
     for verification hot loops.
     """
-    best = min(qm_transforms(f))
-    return SparsePoly(f.ctx, best)
+    fr = reduce_exponents(f)
+    walk = qm_unit_transforms if all(c == 1 for c in fr.coeffs()) else qm_transforms
+    return SparsePoly(f.ctx, min(walk(fr)))
 
 
 def qm_shape_orbit(f: SparsePoly, shape_ok=None) -> set[tuple]:

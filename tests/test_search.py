@@ -23,7 +23,7 @@ from gf2to1.search import (
     search_degree5,
     search_sparse,
 )
-from gf2to1.two2one import is_two_to_one, qm_canonical, qm_shape_orbit
+from gf2to1.two2one import is_two_to_one, qm_canonical, qm_shape_orbit, qm_transforms
 
 F8 = make_field(3)
 F16 = make_field(4)
@@ -604,6 +604,48 @@ class TestUnitRelabelling:
     def test_relabel_off_kernel_calls_pinned(self, n, calls, monkeypatch):
         monkeypatch.setattr(search, "_trinomial_orbits", pairs_as_own_orbits)
         assert kernel_calls(make_field(n), monkeypatch) == calls
+
+
+class TestUnitWalk:
+    """_finalize walks only the unit relabellings of each class when every raw
+    hit has coefficients 1; the full qm_transforms walk is its oracle."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape,n,dedupe",
+        [("quadrinomial", n, d) for n in (3, 4, 5, 6) for d in ("qm", "none")]
+        + [("binomial", n, "qm") for n in (5, 6)],
+    )
+    def test_reports_match_the_full_walk(self, shape, n, dedupe, workers, monkeypatch):
+        ctx = make_field(n)
+        unit = search_sparse(ctx, shape, dedupe, workers=workers)
+        assert unit.hits
+        monkeypatch.setattr(search, "qm_unit_transforms", qm_transforms)
+        full = search_sparse(ctx, shape, dedupe, workers=workers)
+        assert report_to_json(unit, include_timing=False) == report_to_json(full, include_timing=False)
+        assert (unit.candidates_scanned, unit.sieve_rejected) == (full.candidates_scanned, full.sieve_rejected)
+
+    @pytest.mark.parametrize(
+        "shape,n,dedupe,taken",
+        [("quadrinomial", 5, "none", "qm_unit_transforms"), ("binomial", 5, "qm", "qm_unit_transforms")]
+        + [("binomial", n, "none", "qm_transforms") for n in (5, 6)],
+    )
+    def test_raw_coefficients_pick_the_walk(self, shape, n, dedupe, taken, monkeypatch):
+        ctx = make_field(n)
+        classes = len(search_sparse(ctx, shape, "qm").hits)
+        walks = Counter()
+        for name in ("qm_unit_transforms", "qm_transforms"):
+
+            def counted(f, name=name, walk=getattr(search, name)):
+                walks[name] += 1
+                return walk(f)
+
+            monkeypatch.setattr(search, name, counted)
+        rep = search_sparse(ctx, shape, dedupe)
+        # binomial dedupe="none" raw hits carry every alpha, not only 1
+        mixed = any(c != 1 for h in rep.hits for _, c in h.poly.terms)
+        assert mixed == (taken == "qm_transforms")
+        assert walks == {taken: classes}  # one walk per class
 
 
 # the sieve rejections of the qm trinomial scan of every exponent pair

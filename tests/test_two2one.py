@@ -35,6 +35,7 @@ from gf2to1.two2one import (
     qm_canonical,
     qm_shape_orbit,
     qm_transforms,
+    qm_unit_transforms,
     square_map,
     value_table,
     verify_resultant_identity,
@@ -125,6 +126,20 @@ def qm_transforms_by_mul(f):
             a = ctx.inv(cur[order_ix[0]])
             yield tuple((new_exps[j], ctx.mul(a, cur[j])) for j in order_ix)
             cur = [tabs[j][cur[j]] for j in range(k)]
+
+
+def assert_unit_walk_is_the_all_ones_part(f):
+    """qm_unit_transforms against the full walk: its tuples are exactly the
+    transforms whose coefficients are all 1, and the canonical of f is the
+    least transform.  A polynomial that reduces to zero has neither."""
+    if f.reduced().is_zero:
+        for call in (qm_canonical, lambda f: list(qm_unit_transforms(f))):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                call(f)
+        return
+    full = list(qm_transforms(f))
+    assert qm_canonical(f) == SparsePoly(f.ctx, min(full))
+    assert set(qm_unit_transforms(f)) == {t for t in full if all(c == 1 for _, c in t)}
 
 
 class TestHistogram:
@@ -403,6 +418,26 @@ class TestQmEquivalence:
         full = qm_shape_orbit(f)
         binom = qm_shape_orbit(f, lambda terms: len(terms) == 2)
         assert binom <= full and len(binom) >= 1
+
+    @given(gf2_coefficient_poly(n_max=6))
+    def test_unit_walk_on_gf2_coefficients(self, f):
+        assert_unit_walk_is_the_all_ones_part(f)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_unit_walk_on_gf2_coefficients_sampled(self, n):
+        # exponents from 0 to 3 * 2^n, leaning on 0 and on those that reduce to 1 or N
+        rng = random.Random(n)
+        ctx = make_field(n)
+        special = [0, 1, ctx.order - 1, ctx.order, 2 * ctx.order - 1]
+        for _ in range(4):
+            exps = [rng.choice(special) if rng.random() < 0.3 else rng.randrange(3 * ctx.order) for _ in range(4)]
+            assert_unit_walk_is_the_all_ones_part(SparsePoly.make(ctx, [(e, 1) for e in exps]))
+
+    def test_unit_walk_guards(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            next(qm_unit_transforms(sp(F8, (8, 1), (1, 1))))
+        with pytest.raises(ValueError, match=f"up to n={LOG_TABLE_MAX_N}"):
+            next(qm_unit_transforms(sp(make_field(LOG_TABLE_MAX_N + 1), (3, 1), (1, 1))))
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
