@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
-from .field import FieldCtx, field_from_label, fmt_elem, make_field, parse_elem, read_int
+from .field import FieldCtx, fmt_elem, make_field, parse_elem, read_int
 from .lowdeg import (
     lemma_cubic_agreement,
     lemma_quadratic_agreement,
@@ -38,7 +39,6 @@ from .search import (
     TABLE_RUNS,
     compare_with_table,
     diff_to_dict,
-    report_from_json,
     report_to_csv,
     report_to_dict,
     search_sparse,
@@ -219,8 +219,16 @@ def _cmd_lemma(args):
 # parser
 
 
+def _int_flag(s: str) -> int:
+    """An integer flag read strictly as ASCII -?[0-9]+ (int() also takes '1_0', '+3',
+    ' 3' and other scripts' digits); a sign passes on to the library's range checks."""
+    if not re.fullmatch("-?[0-9]+", s):
+        raise argparse.ArgumentTypeError(f"invalid integer {s!r}")
+    return int(s)
+
+
 def _add_field_args(p, formats=FORMATS[:2]) -> None:
-    p.add_argument("--n", type=int, required=True, help="extension degree of GF(2^n)")
+    p.add_argument("--n", type=_int_flag, required=True, help="extension degree of GF(2^n)")
     p.add_argument("--modulus", help="irreducible modulus bits as hex (default: smallest)")
     p.add_argument("--format", choices=formats, help="output format (default from GF2TO1_FORMAT or text)")
 
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--shape", choices=tuple(SHAPES), required=True)
     c.add_argument("--dedupe", choices=("qm", "none"), default=None)
     c.add_argument("--long", action="store_true", help=f"allow the n={SEARCH_LONG_MAX_N} budget")
-    c.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    c.add_argument("--workers", type=_int_flag, default=os.cpu_count() or 1)
     _add_field_args(c, FORMATS)
     c.set_defaults(fn=_cmd_search)
 
@@ -255,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--which", choices=tuple(TABLE_RUNS), required=True)
     c.add_argument(
         "--n-max",
-        type=int,
+        type=_int_flag,
         choices=range(3, SEARCH_LONG_MAX_N + 1),
         dest="n_max",
         help=f"default {SEARCH_LONG_MAX_N} with --long, else {SEARCH_MAX_N}",
     )
     c.add_argument("--long", action="store_true", help=f"include the n={SEARCH_LONG_MAX_N} searches")
-    c.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    c.add_argument("--workers", type=_int_flag, default=os.cpu_count() or 1)
     c.add_argument("--format", choices=FORMATS[:2])
     c.set_defaults(fn=_cmd_tables)
 
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resultant",
         help="pinned elimination identity: proved over GF(2)[a, b]; degree-drop points checked pointwise",
     )
-    c.add_argument("--theorem", type=int, choices=(1, 2, 3, 4, 5, 6), required=True)
+    c.add_argument("--theorem", type=_int_flag, choices=(1, 2, 3, 4, 5, 6), required=True)
     _add_field_args(c)
     c.set_defaults(fn=_cmd_resultant)
 
@@ -307,40 +315,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     sys.stdout.write((json.dumps(doc, indent=2) if _fmt(args) == "json" else "\n".join(lines)) + "\n")
     return EXIT_OK if ok else EXIT_MISMATCH
-
-
-# ---------------------------------------------------------------------------
-# document parsing (round-trip support for emitted JSON)
-
-
-def parse_document(text: str):
-    """Parse any JSON document this CLI emits back into semantic objects."""
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind == "search_report":
-        return report_from_json(text)
-    if kind in ("check", "family"):
-        ctx = field_from_label(doc["field"])
-        out = dict(doc)
-        out["field"] = ctx
-        out["poly"] = parse_poly(ctx, doc["poly"])
-        return out
-    if kind == "tables":
-        out = dict(doc)
-        out["results"] = [
-            {
-                "n": r["n"],
-                "report": report_from_json(json.dumps(r["report"])),
-                "diff": r["diff"],
-            }
-            for r in doc["results"]
-        ]
-        return out
-    if kind in ("resultant", "count_points", "lemma"):
-        out = dict(doc)
-        out["field"] = field_from_label(doc["field"])
-        return out
-    raise ValueError(f"unknown document kind {kind!r}")
 
 
 if __name__ == "__main__":

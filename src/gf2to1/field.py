@@ -340,18 +340,6 @@ class FieldCtx:
         mask = self._tmask or self._trace_mask()
         return mask & -mask
 
-    def trace_rel(self, m: int, x: int) -> int:
-        """Relative trace onto the subfield GF(2^m); m must divide n."""
-        if m < 1:
-            raise ValueError(f"m must be at least 1, got m={m}")
-        if self.n % m != 0:
-            raise ValueError(f"m={m} does not divide n={self.n}")
-        acc = t = x
-        for _ in range(self.n // m - 1):
-            t = self.frobenius(t, m)
-            acc ^= t
-        return acc
-
     def frobenius(self, x: int, j: int) -> int:
         """x^(2^j)."""
         return self.pow(x, 1 << (j % self.n))

@@ -25,7 +25,6 @@ __all__ = [
     "solve_artin_schreier",
     "cubic_has_unique_root",
     "quartic_pattern",
-    "quartic_pattern_scan",
     "roots_by_scan",
     "lemma_quadratic_agreement",
     "lemma_cubic_agreement",
@@ -46,10 +45,6 @@ class FactorPattern(Enum):
     C111 = (1, 1, 1)
     C12 = (1, 2)
     C3 = (3,)
-
-    @property
-    def root_count(self) -> int:
-        return sum(1 for d in self.value if d == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,35 +145,6 @@ def quartic_pattern(ctx: FieldCtx, a2: int, a1: int, a0: int) -> FactorPattern:
     return _classify_quartic(ctx, a0, _resolvent_scaled(ctx, a1, roots_by_scan(f1)))
 
 
-def quartic_pattern_scan(ctx: FieldCtx, a2: int, a1: int, a0: int) -> FactorPattern:
-    """Scan oracle for quartic_pattern: root count, then a search over all
-    monic quadratic divisors to separate (2,2) from (4).
-
-    x^4 + a2 x^2 + a1 x + a0 mod (x^2 + ux + v) reduces to
-    (u^3 + a2 u + a1) x + (u^2 v + v^2 + a2 v + a0), so divisibility is a
-    two-coefficient test per candidate divisor.
-    """
-    if a0 == 0 or a1 == 0:
-        raise ValueError("quartic classification requires a0 != 0 and a1 != 0")
-    f = DensePoly.make(ctx, (a0, a1, a2, 0, 1))
-    r = len(roots_by_scan(f))
-    if r == 4:
-        return FactorPattern.Q1111
-    if r == 2:
-        return FactorPattern.Q112
-    if r == 1:
-        return FactorPattern.Q13
-    if r != 0:
-        raise AssertionError(f"squarefree quartic with {r} roots")
-    for u in ctx.elements():
-        if ctx.mul(ctx.sqr(u), u) ^ ctx.mul(a2, u) ^ a1 != 0:
-            continue
-        for v in ctx.elements():
-            if ctx.mul(ctx.sqr(u) ^ a2, v) ^ ctx.sqr(v) ^ a0 == 0:
-                return FactorPattern.Q22
-    return FactorPattern.Q4
-
-
 def roots_by_scan(f: DensePoly) -> set[int]:
     """Exact root set in the field by evaluating at all 2^n points."""
     if f.is_zero:
@@ -264,8 +230,8 @@ def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
     one pass over u per a2 (u^3 + a2 u grouped by value); the oracle takes
     quartic root counts from the value histogram of x^4 + a2 x^2 + a1 x and
     marks divisor-admitting a0 by the quadratic sweep v -> (u^2 + a2) v + v^2
-    -- the same divisibility test quartic_pattern_scan applies one triple at
-    a time.
+    over the resolvent roots u: x^2 + ux + v divides the quartic exactly when
+    u is one and the sweep takes a0 at v.
     """
     _check_input_cap("quartic", ctx, ctx.order * (ctx.order - 1) ** 2)
     mismatches = []

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .field import FieldCtx, fmt_elem, read_int
 
 BIVAR_SCAN_MAX_N = 12
-DENSE_DEGREE_CAP = 1 << 16
 
 __all__ = [
     "SparsePoly",
@@ -93,17 +92,6 @@ class SparsePoly:
         for e, c in self.terms:
             acc ^= ctx.mul(c, ctx.pow(x, e))
         return acc
-
-    def reduced(self) -> "SparsePoly":
-        return reduce_exponents(self)
-
-    def to_dense(self) -> "DensePoly":
-        if self.degree > DENSE_DEGREE_CAP:
-            raise ValueError(f"degree {self.degree} too large for a dense conversion")
-        coeffs = [0] * (self.degree + 1)
-        for e, c in self.terms:
-            coeffs[e] ^= c
-        return DensePoly.make(self.ctx, coeffs)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -183,15 +183,6 @@ def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
     return u, w, rep
 
 
-def _coeff_reps_trinomial(N: int, k: int, l: int, dedupe: str):
-    """(u, w, sigma): the u and w of _rescaling_reps, and sigma(B, A), the logs
-    of the scanned pair standing for (beta^2, alpha^2).  Squaring commutes
-    with rescaling, so sigma(B, A) = rep(2B, 2A) permutes the
-    representatives, and sigma^n is the identity."""
-    u, w, rep = _rescaling_reps(N, k, l, dedupe)
-    return u, w, lambda B, A: rep(2 * B, 2 * A)
-
-
 def _trinomial_orbits(N: int) -> list[tuple[int, int, tuple[int, ...]]]:
     """The unit-relabelling orbits of the trinomial exponent pairs, as
     (k, l, units) in template order: the orbit's least pair, and for each
@@ -290,9 +281,11 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     One table set per shard serves every shape: tabs[c] multiplies by c, and
     powers[e] holds x^e at x = g^i.  The trinomial scan sieves every
     candidate of an orbit's least pair (k, l), then closes the survivors
-    under the sigma of _coeff_reps_trinomial: a sigma-orbit with a rejected
-    member holds no hit, and one kernel call decides the others.  _relabel
-    maps the hits to every member of the orbit."""
+    under sigma, the map of their logs (B, A) to the representative of
+    (beta^2, alpha^2), which permutes the representatives with sigma^n the
+    identity: a sigma-orbit with a rejected member holds no hit, and one
+    kernel call decides the others.  _relabel maps the hits to every member
+    of the orbit."""
     n, modulus, shape, dedupe, items = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
@@ -332,7 +325,8 @@ def _shard(args) -> tuple[list[tuple], int, int]:
         sieve = _fiber_sieve(ctx)
         for k, l, units in items:
             AK, AL = powers[k], powers[l]
-            u, w, sigma = _coeff_reps_trinomial(N, k, l, dedupe)
+            u, w, rescale = _rescaling_reps(N, k, l, dedupe)
+            sigma = lambda B, A: rescale(2 * B, 2 * A)  # squaring commutes with rescaling
             alphas = EXP[:w]
             Hs = {}  # B -> the values of x^k + g^B*x^l, for each B with survivors
             survivors = {}  # the (B, A) logs of the sieve survivors, in scan order

@@ -87,9 +87,6 @@ class PreimageHistogram:
     def is_two_to_one(self) -> bool:
         return all(c == 2 for c in self.counts.values())
 
-    def fiber_of(self, v: int) -> int:
-        return self.counts.get(v, 0)
-
 
 def fibers_two_to_one(order: int, f0: int, base, u0: int, t0, u1: int, t1) -> bool:
     """The fiber kernel: whether f0 and the values base[i] ^ u0*s0^i ^ u1*s1^i

@@ -12,16 +12,46 @@ import pytest
 import gf2to1
 import gf2to1.cli as cli
 import gf2to1.search as search
-from gf2to1.cli import main, parse_document
-from gf2to1.field import make_field
-from gf2to1.poly import SparsePoly
-from gf2to1.search import SearchReport
+from gf2to1.cli import main
+from gf2to1.field import field_from_label, make_field
+from gf2to1.poly import SparsePoly, parse_poly
+from gf2to1.search import SearchReport, report_from_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parse_document(text: str):
+    """Parse any JSON document the CLI emits back into semantic objects."""
+    doc = json.loads(text)
+    kind = doc.get("kind")
+    if kind == "search_report":
+        return report_from_json(text)
+    if kind in ("check", "family"):
+        ctx = field_from_label(doc["field"])
+        out = dict(doc)
+        out["field"] = ctx
+        out["poly"] = parse_poly(ctx, doc["poly"])
+        return out
+    if kind == "tables":
+        out = dict(doc)
+        out["results"] = [
+            {
+                "n": r["n"],
+                "report": report_from_json(json.dumps(r["report"])),
+                "diff": r["diff"],
+            }
+            for r in doc["results"]
+        ]
+        return out
+    if kind in ("resultant", "count_points", "lemma"):
+        out = dict(doc)
+        out["field"] = field_from_label(doc["field"])
+        return out
+    raise ValueError(f"unknown document kind {kind!r}")
 
 
 def _dying_shard(args):
@@ -483,3 +513,20 @@ class TestStrictNumbers:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", " 3", "\u0663"], ids=["underscore", "plus", "space", "arabic-indic"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "x", "--n", "{}"),
+            ("search", "--shape", "binomial", "--n", "3", "--workers", "{}"),
+            ("tables", "--which", "I", "--n-max", "{}"),
+            ("resultant", "--theorem", "{}", "--n", "3"),
+        ],
+        ids=["n", "workers", "n-max", "theorem"],
+    )
+    def test_integer_flag_outside_the_grammar(self, capsys, argv, token):
+        # argparse rejects the token before any subcommand runs
+        code, out, err = run(capsys, *(a.format(token) for a in argv))
+        assert (code, out) == (2, "")
+        assert f"invalid integer {token!r}" in err

@@ -193,37 +193,6 @@ class TestTraceFrobenius:
         f = make_field(n)
         assert f.trace_one == next(1 << b for b in range(n) if f.trace_abs(1 << b) == 1)
 
-    def test_trace_rel_identity_when_m_equals_n(self):
-        f = make_field(6)
-        for x in (0, 1, 5, 63):
-            assert f.trace_rel(6, x) == x
-
-    def test_trace_rel_of_one(self):
-        assert make_field(6).trace_rel(3, 1) == 0  # two summands
-
-    def test_trace_rel_lands_in_subfield(self):
-        f = make_field(6)
-        for x in f.elements():
-            t = f.trace_rel(2, x)
-            assert f.pow(t, 4) == t
-
-    def test_trace_rel_transitivity(self):
-        f = make_field(6)
-        for x in f.elements():
-            y = f.trace_rel(3, x)
-            # absolute trace of GF(2^3) computed inside the big field
-            sub_tr = y ^ f.mul(y, y) ^ f.pow(y, 4)
-            assert sub_tr == f.trace_abs(x)
-
-    def test_trace_rel_bad_m(self):
-        with pytest.raises(ValueError):
-            make_field(6).trace_rel(4, 1)
-
-    @pytest.mark.parametrize("m", [0, -1, -2])
-    def test_trace_rel_m_below_one_rejected(self, m):
-        with pytest.raises(ValueError, match=f"m must be at least 1, got m={m}"):
-            make_field(4).trace_rel(m, 5)
-
     def test_frobenius_full_orbit(self):
         f = make_field(3)
         for x in f.elements():
@@ -279,9 +248,6 @@ class TestTablesAgainstShiftXor:
             assert [f.frobenius(x, j) for j in range(2 * n + 1)] == sq
             assert M[f.sqrt(x)][f.sqrt(x)] == x
             assert f.trace_abs(x) == xor_all(sq[:n])
-            for m in range(1, n + 1):
-                if n % m == 0:
-                    assert f.trace_rel(m, x) == xor_all(sq[:n:m])
 
     @given(st.data())
     def test_random_across_the_cap(self, data):
@@ -312,9 +278,6 @@ class TestTablesAgainstShiftXor:
         s = f.sqrt(a)
         assert mul_ref(f, s, s) == a
         assert f.trace_abs(a) == xor_all(sq[:n])
-        for m in range(1, n + 1):
-            if n % m == 0:
-                assert f.trace_rel(m, a) == xor_all(sq[:n:m])
 
     def test_tables_only_up_to_the_cap(self):
         small = make_field(LOG_TABLE_MAX_N)

@@ -13,7 +13,6 @@ from gf2to1.lowdeg import (
     lemma_quartic_agreement,
     quadratic_solutions,
     quartic_pattern,
-    quartic_pattern_scan,
     roots_by_scan,
     solve_artin_schreier,
 )
@@ -30,6 +29,35 @@ def cubic_pattern(ctx, a, b):
         raise ValueError("b = 0 is out of scope")
     r = len(roots_by_scan(DensePoly.make(ctx, (b, a, 0, 1))))
     return {0: FactorPattern.C3, 1: FactorPattern.C12, 3: FactorPattern.C111}[r]
+
+
+def quartic_pattern_scan(ctx, a2, a1, a0):
+    """Scan oracle for quartic_pattern: root count, then a search over all
+    monic quadratic divisors to separate (2,2) from (4).
+
+    x^4 + a2 x^2 + a1 x + a0 mod (x^2 + ux + v) reduces to
+    (u^3 + a2 u + a1) x + (u^2 v + v^2 + a2 v + a0), so divisibility is a
+    two-coefficient test per candidate divisor.
+    """
+    if a0 == 0 or a1 == 0:
+        raise ValueError("quartic classification requires a0 != 0 and a1 != 0")
+    f = DensePoly.make(ctx, (a0, a1, a2, 0, 1))
+    r = len(roots_by_scan(f))
+    if r == 4:
+        return FactorPattern.Q1111
+    if r == 2:
+        return FactorPattern.Q112
+    if r == 1:
+        return FactorPattern.Q13
+    if r != 0:
+        raise AssertionError(f"squarefree quartic with {r} roots")
+    for u in ctx.elements():
+        if ctx.mul(ctx.sqr(u), u) ^ ctx.mul(a2, u) ^ a1 != 0:
+            continue
+        for v in ctx.elements():
+            if ctx.mul(ctx.sqr(u) ^ a2, v) ^ ctx.sqr(v) ^ a0 == 0:
+                return FactorPattern.Q22
+    return FactorPattern.Q4
 
 
 class TestQuadratic:
@@ -106,7 +134,7 @@ class TestCubic:
             for b in F8.nonzero():
                 pat = cubic_pattern(F8, a, b)
                 f = DensePoly.make(F8, (b, a, 0, 1))
-                assert pat.root_count == len(roots_by_scan(f))
+                assert pat.value.count(1) == len(roots_by_scan(f))
                 assert (pat is FactorPattern.C12) == cubic_has_unique_root(F8, a, b)
 
 
@@ -121,7 +149,7 @@ class TestQuartic:
                 for a0 in F8.nonzero():
                     pat = quartic_pattern(F8, a2, a1, a0)
                     f = DensePoly.make(F8, (a0, a1, a2, 0, 1))
-                    assert pat.root_count == len(roots_by_scan(f))
+                    assert pat.value.count(1) == len(roots_by_scan(f))
 
     def test_degenerate_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -75,12 +75,6 @@ class TestEval:
         f = SparsePoly.make(F8, [(0, 5)])
         assert f.eval(0) == 5
 
-    def test_dense_matches_sparse(self):
-        f = SparsePoly.make(F8, [(3, 2), (1, 5), (0, 1)])
-        d = f.to_dense()
-        for x in F8.elements():
-            assert d.eval(x) == f.eval(x)
-
 
 class TestReduceExponents:
     def test_frobenius_identity(self):

@@ -447,7 +447,7 @@ def squared_representatives(ctx, k, l, dedupe):
     f(b*x) / b^k, which dedupe="none" leaves out."""
     N = ctx.order - 1
     EXP = ctx.log_tables()[0]
-    u, w, _ = search._coeff_reps_trinomial(N, k, l, dedupe)
+    u, w, _ = search._rescaling_reps(N, k, l, dedupe)
     scanned = {(EXP[B], EXP[A]): (B, A) for B in range(u) for A in range(w)}
     rep_of = {}  # every (beta, alpha) -> the scanned logs of its orbit
     for b in ctx.nonzero() if dedupe == "qm" else (1,):
@@ -469,8 +469,8 @@ class TestFrobeniusStep:
         for k, l in trinomial_exponent_pairs(N):
             if dedupe == "qm" or expected is None:  # without rescaling, one map serves every (k, l)
                 expected = squared_representatives(ctx, k, l, dedupe)
-            sigma = search._coeff_reps_trinomial(N, k, l, dedupe)[2]
-            image = {rep: sigma(*rep) for rep in expected}
+            rescale = search._rescaling_reps(N, k, l, dedupe)[2]
+            image = {(B, A): rescale(2 * B, 2 * A) for B, A in expected}
             assert image == expected, (k, l)
             assert set(image.values()) == image.keys()  # a permutation of the representatives
             seen = set()
@@ -554,7 +554,7 @@ class TestUnitRelabelling:
         def rep_of(k, l):
             key = (k, l) if dedupe == "qm" else None  # without rescaling one table serves every (k, l)
             if key not in reps:
-                u, w, _ = search._coeff_reps_trinomial(N, k, l, dedupe)
+                u, w, _ = search._rescaling_reps(N, k, l, dedupe)
                 table = {}
                 for b in ctx.nonzero() if dedupe == "qm" else (1,):
                     sb = ctx.div(ctx.pow(b, l), ctx.pow(b, k))
@@ -567,10 +567,10 @@ class TestUnitRelabelling:
             return reps[key]
 
         for k, l, units in search._trinomial_orbits(N):
-            u, w, _ = search._coeff_reps_trinomial(N, k, l, dedupe)
+            u, w, _ = search._rescaling_reps(N, k, l, dedupe)
             for e in units:
                 k2, l2, image = search._relabel(N, k, l, e, dedupe)
-                u2, w2, _ = search._coeff_reps_trinomial(N, k2, l2, dedupe)
+                u2, w2, _ = search._rescaling_reps(N, k2, l2, dedupe)
                 assert u2 * w2 == u * w  # the shard counts u*w candidates per member
                 v = pow(e, -1, N)
                 assert ctx.pow(ctx.pow(ctx.generator, e), v) == ctx.generator  # x^(1/e)

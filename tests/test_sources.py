@@ -1,5 +1,6 @@
 """Every Python file parses under the oldest interpreter the package supports,
-and every public name the package declares resolves.
+every public name the package declares resolves, and the library holds only
+code it runs or exports.
 
 pyproject.toml declares requires-python >= 3.10, so syntax newer than 3.10
 (except* groups, PEP 695 type parameters) must not appear in the sources.
@@ -61,3 +62,56 @@ def test_tracer_names_resolve():
         if obj is None:
             missing.append((module, dotted))
     assert not missing
+
+
+# defined in the library, used by no library code, and kept: name -> reason
+UNREFERENCED_KEPT = {
+    "FieldCtx.sqrt": "documented in the README as part of the field API",
+}
+
+
+def test_library_defines_only_what_it_uses_or_exports():
+    # name-based: a def counts as used when its name occurs in src/gf2to1 as a
+    # name, an attribute or an import; an oracle only tests use belongs in them
+    package = ROOT / "src" / "gf2to1"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    used, defined = set(), []  # defined: (module, qualified name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+
+        def collect(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((module, prefix + child.name))
+                    collect(child, f"{prefix}{child.name}.")
+                else:
+                    collect(child, prefix)
+
+        collect(tree, "")
+    exported = {m: set(getattr(importlib.import_module(f"gf2to1.{m}"), "__all__", ())) for m in trees}
+    unused = []
+    for module, qualname in defined:
+        name = qualname.rpartition(".")[2]
+        dunder = name.startswith("__") and name.endswith("__")
+        if not (dunder or name in used or name in exported[module] or qualname in UNREFERENCED_KEPT):
+            unused.append(f"{module}.{qualname}")
+    assert not unused
+    assert set(UNREFERENCED_KEPT) <= {qualname for _, qualname in defined}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT)))
+def test_library_imports_nothing_from_tests(path):
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
+    roots = {name.partition(".")[0] for name in imported}
+    assert not {r for r in roots if r in ("tests", "conftest") or r.startswith("test_")}

@@ -62,7 +62,7 @@ def random_sparse(draw, n_min=2, n_max=6, max_terms=4, any_exponent=False):
         st.lists(st.tuples(exps, st.integers(1, ctx.order - 1)), min_size=1, max_size=max_terms)
     )
     f = SparsePoly.make(ctx, terms)
-    assume(not f.reduced().is_zero)
+    assume(not reduce_exponents(f).is_zero)
     return f
 
 
@@ -132,7 +132,7 @@ def assert_unit_walk_is_the_all_ones_part(f):
     """qm_unit_transforms against the full walk: its tuples are exactly the
     transforms whose coefficients are all 1, and the canonical of f is the
     least transform.  A polynomial that reduces to zero has neither."""
-    if f.reduced().is_zero:
+    if reduce_exponents(f).is_zero:
         for call in (qm_canonical, lambda f: list(qm_unit_transforms(f))):
             with pytest.raises(ValueError, match="zero polynomial"):
                 call(f)
@@ -153,7 +153,7 @@ class TestHistogram:
 
     def test_cube_fiber_matches_gcd(self):
         h = preimage_histogram(sp(F16, (3, 1)))
-        assert h.fiber_of(1) == 3  # gcd(3, 15)
+        assert h.counts[1] == 3  # gcd(3, 15)
 
     def test_fibers_sum_to_field_size(self):
         for terms in [((5, 1), (3, 3)), ((7, 2), (1, 1)), ((0, 5),)]:
