@@ -42,6 +42,7 @@ from .search import (
     report_to_csv,
     report_to_dict,
     search_sparse,
+    worker_pool,
 )
 from .two2one import (
     FAMILY_TAGS,
@@ -142,10 +143,11 @@ def _cmd_tables(args):
     if n_max > SEARCH_MAX_N and not args.long:
         raise ValueError(f"--n-max {n_max} runs the n={n_max} searches; pass --long")
     results = []
-    for n in all_n:
-        if n <= n_max:
-            report = search_sparse(make_field(n), shape, dedupe, args.long, args.workers)
-            results.append((n, report, compare_with_table(report, args.which)))
+    with worker_pool(args.workers, shape, min(max(all_n), n_max)) as pool:
+        for n in all_n:
+            if n <= n_max:
+                report = search_sparse(make_field(n), shape, dedupe, args.long, args.workers, pool=pool)
+                results.append((n, report, compare_with_table(report, args.which)))
     ok = all(d.ok for _, _, d in results)
     doc = {
         "kind": "tables",

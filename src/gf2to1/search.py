@@ -9,8 +9,10 @@ Every shard builds one table set, read by every shape: the multiply table of
 each field element and the power list of each exponent.  Candidates are
 verified by the fiber kernel of two2one, fed a power list and at most two
 coefficient streams; it stops at the first fiber of size 3.  Shard i of W
-scans every W-th item from the i-th on, one worker process per shard; the
-cost of an item grows with k, so the strides carry about equal work.
+scans every W-th item from the i-th on; the cost of an item grows with k, so
+the strides carry about equal work.  Shard 0 runs in the calling process and
+the others in a pool of W - 1 worker processes, opened per search or shared
+by a run of searches (worker_pool).
 Partial hit lists are merged and globally sorted, so a report is
 byte-identical for any worker count.  Every shape is capped at
 n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the long-run flag.
@@ -54,6 +56,7 @@ read them as they are.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing as mp
@@ -61,6 +64,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .field import FieldCtx, field_from_label, fmt_elem, parse_elem
 from .poly import SparsePoly, parse_poly
@@ -239,32 +243,57 @@ def _relabel(N: int, k: int, l: int, e: int, dedupe: str):
 
 
 def _fiber_sieve(ctx: FieldCtx):
-    """sieve(H, alphas): the alphas for which h + alpha*x has a fiber of exactly
-    two points through each of x0 = 0, g^0 and g^1, where H[i] = h(g^i) and
-    h(0) = 0.
+    """sieve(terms, alphas): the alphas for which h + alpha*x, h the sum of
+    c*x^e over the (e, c) in terms, 0 < e < 2^n, has a fiber of exactly two
+    points through each of x0 = 0, g^0 and g^1.
 
     y != x0 lies in the fiber of x0 exactly when D(y) = (h(y) + h(x0))/(y + x0)
     equals alpha, so the fiber has two points exactly when D takes the value
     alpha once over y != x0.  A 2-to-1 map passes at every x0, so a rejected
-    alpha is never a hit.  Each quotient is one EXP[LOG[.] + d] lookup in the
-    tables of FieldCtx.log_tables(), with d = -log(y + x0) precomputed per
-    point; their layout makes a zero numerator a zero quotient.
+    alpha is never a hit.  D is the sum of c*q_e, q_e(y) = (y^e + x0^e)/(y + x0),
+    and q_e = x0*q_(e-1) + y^(e-1) with q_0 = 0.  For each x0 the sieve keeps
+    every q_e over y = g^0 .. g^(2^n - 2) as one byte string, built by that
+    recursion with one bytes.translate and one xor per step; the slot of
+    y = x0 holds the value at y = 0, where y^(e-1) reads 0^(e-1).  A sieve
+    call is then one translate by a 256-byte multiply table per term, an xor
+    of big ints and one Counter per x0.  Field elements must fit in a byte,
+    so n <= 8; raises ValueError above.
     """
-    EXP, LOG = ctx.log_tables()
-    N = ctx.order - 1
-    # (index j of x0 = g^j in H, or None for x0 = 0; -log(y + x0) for y = g^i,
-    # with y = 0 in place of y = x0 at slot j)
-    points = [(None, [N - i for i in range(N)])]
-    points += [(j, [N - LOG[EXP[i] ^ EXP[j]] if i != j else N - j for i in range(N)]) for j in (0, 1)]
+    order = ctx.order
+    if order > 256:
+        raise ValueError(f"the fiber sieve keeps field elements in bytes, so n <= 8, got n={ctx.n}")
+    EXP = ctx.log_tables()[0]
+    N = order - 1
+    pad = bytes(256 - order)
+    # MUL[c] maps each element to c times it; times g, translated once per power of g
+    MUL = [bytes(256)] * order
+    times_g = bytes(ctx.mul_table(ctx.generator)) + pad
+    t = bytes(range(order)) + pad
+    for c in EXP[:N]:
+        MUL[c] = t
+        t = t.translate(times_g)
+    Y = bytes(EXP[:N])
+    powers = [b"\x01" * N] + [(Y * m)[::m] for m in range(1, N)]  # y^m at y = g^i
+    strings = []  # per x0, q_e over y for e = 0 .. N
+    for x0, slot in ((0, None), (1, 0), (ctx.generator, 1)):
+        q = bytes(N)
+        Q = [q]
+        for m, P in enumerate(powers):
+            v = int.from_bytes(q.translate(MUL[x0]), "little") ^ int.from_bytes(P, "little")
+            if m and slot is not None:
+                v ^= P[slot] << 8 * slot  # 0^m = 0 at y = 0
+            q = v.to_bytes(N, "little")
+            Q.append(q)
+        strings.append(Q)
+    once = (1).__eq__
 
-    def sieve(H: list[int], alphas):
-        for j, neg in points:
-            hx = 0 if j is None else H[j]
-            counts = Counter([EXP[LOG[v ^ hx] + d] for v, d in zip(H, neg)])
-            if j is not None:  # slot j counted y = x0 as a 0; its value is y = 0's
-                counts[0] -= 1
-                counts[EXP[LOG[hx] + neg[j]]] += 1
-            alphas = [a for a in alphas if counts.get(a) == 1]
+    def sieve(terms, alphas):
+        for Q in strings:
+            D = 0
+            for e, c in terms:
+                D ^= int.from_bytes(Q[e].translate(MUL[c]), "little")
+            counts = Counter(D.to_bytes(N, "little")).get
+            alphas = list(compress(alphas, map(once, map(counts, alphas, repeat(0)))))
             if not alphas:
                 break
         return alphas
@@ -279,13 +308,14 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     rescaling translates the coefficient logs, so one (k, l) has one size.
 
     One table set per shard serves every shape: tabs[c] multiplies by c, and
-    powers[e] holds x^e at x = g^i.  The trinomial scan sieves every
-    candidate of an orbit's least pair (k, l), then closes the survivors
-    under sigma, the map of their logs (B, A) to the representative of
-    (beta^2, alpha^2), which permutes the representatives with sigma^n the
-    identity: a sigma-orbit with a rejected member holds no hit, and one
-    kernel call decides the others.  _relabel maps the hits to every member
-    of the orbit."""
+    powers[e] holds x^e at x = g^i; the kernel's value list of a degree-5 or
+    trinomial h is built only for the sieve's survivors.  The trinomial scan
+    sieves every candidate of an orbit's least pair (k, l), then walks the
+    survivors under sigma, the map of their logs (B, A) to the representative
+    of (beta^2, alpha^2), which permutes the representatives with sigma^n the
+    identity: a sigma-orbit with a rejected member holds no hit, so the walk
+    stops there, and one kernel call decides an orbit that survived whole.
+    _relabel maps the hits to every member of the orbit."""
     n, modulus, shape, dedupe, items = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
@@ -302,13 +332,14 @@ def _shard(args) -> tuple[list[tuple], int, int]:
         for a3 in items:
             T3 = tabs[a3]
             for a2, T2 in enumerate(tabs):
-                W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
-                survivors = sieve(W, range(order))
+                survivors = sieve(((5, 1), (3, a3), (2, a2)), range(order))
                 scanned += order
                 rejected += order - len(survivors)
-                for a1 in survivors:
-                    if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
-                        hits.append((tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]), 1))
+                if survivors:
+                    W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
+                    for a1 in survivors:
+                        if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
+                            hits.append((tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]), 1))
     elif shape == "binomial":
         for k in items:
             AK = powers[k]
@@ -328,30 +359,27 @@ def _shard(args) -> tuple[list[tuple], int, int]:
             u, w, rescale = _rescaling_reps(N, k, l, dedupe)
             sigma = lambda B, A: rescale(2 * B, 2 * A)  # squaring commutes with rescaling
             alphas = EXP[:w]
-            Hs = {}  # B -> the values of x^k + g^B*x^l, for each B with survivors
             survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
             for B in range(u):
-                TB = tabs[EXP[B]]
-                H = [a ^ TB[b] for a, b in zip(AK, AL)]
-                alive = sieve(H, alphas)
+                alive = sieve(((k, 1), (l, EXP[B])), alphas)
                 rejected += (w - len(alive)) * len(units)
-                if alive:
-                    Hs[B] = H
-                    survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
+                survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
             scanned += u * w * len(units)  # every member has the u*w of (k, l)
             found = []  # the (B, A) logs of the hits
             decided = set()
             for rep in survivors:
                 if rep in decided:
                     continue
-                orbit, m = {rep}, rep
-                for _ in range(n - 1):
+                orbit, m = [rep], sigma(*rep)
+                while m != rep and m in survivors:  # stop at the first member the sieve rejected
+                    orbit.append(m)
                     m = sigma(*m)
-                    orbit.add(m)
-                decided |= orbit
-                if orbit <= survivors.keys():
+                decided.update(orbit)
+                if m == rep:
                     B, A = rep
-                    if fibers_two_to_one(order, 0, Hs[B], EXP[A], tg, 0, (0,)):
+                    TB = tabs[EXP[B]]
+                    H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + g^B*x^l
+                    if fibers_two_to_one(order, 0, H, EXP[A], tg, 0, (0,)):
                         found.extend(orbit)
             if found:
                 weight = N * N // (u * w)
@@ -380,15 +408,41 @@ def _strides(items, workers: int) -> list:
     return [items[i::W] for i in range(W)]
 
 
-def _run_shards(fn, shard_args):
-    if len(shard_args) <= 1:
-        return [fn(a) for a in shard_args]
+def _pool(size: int):
+    """A pool of size forked worker processes, or a null context for none."""
+    if size < 1:
+        return contextlib.nullcontext()
     try:
         ctx = mp.get_context("fork")
     except ValueError:
         ctx = mp.get_context()
-    with ProcessPoolExecutor(max_workers=len(shard_args), mp_context=ctx) as ex:
-        return list(ex.map(fn, shard_args))
+    return ProcessPoolExecutor(max_workers=size, mp_context=ctx)
+
+
+def worker_pool(workers: int, shape: str, n: int):
+    """The pool that search_sparse(pool=...) shares between the searches of
+    shape up to GF(2^n) at this worker count, as a context manager; it gives
+    None when the calling process runs every shard alone.
+
+    The calling process runs one shard of each search, so the pool holds one
+    worker fewer than the largest of those searches has shards.  Listing the
+    trinomial orbits costs as much as a small scan, so their count is bounded
+    by the template's exponent pairs."""
+    N = 2**n - 1
+    items = (N - 2) * (N - 3) // 2 if shape == "trinomial" else len(SHAPES[shape](N))
+    return _pool(min(workers, items) - 1)
+
+
+def _run_shards(fn, shard_args, pool=None):
+    """fn over shard_args, in order: the first in the calling process, the
+    rest in pool, or in a pool of their own when pool is None."""
+    if len(shard_args) <= 1:
+        return [fn(a) for a in shard_args]
+    if pool is None:
+        with _pool(len(shard_args) - 1) as own:
+            return _run_shards(fn, shard_args, own)
+    rest = [pool.submit(fn, a) for a in shard_args[1:]]
+    return [fn(shard_args[0]), *(f.result() for f in rest)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +497,7 @@ def _finalize(
     return SearchReport(ctx, shape, dedupe, hits, scanned, elapsed_ms, notes, sieve_rejected)
 
 
-def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int) -> SearchReport:
+def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int, pool=None) -> SearchReport:
     """The one search driver.  search_degree5 and search_sparse both call it and
     never each other, so a span around either public function times one search."""
     if shape not in SHAPES:
@@ -463,7 +517,7 @@ def _search(ctx: FieldCtx, shape: str, dedupe: str, long_run: bool, workers: int
     shards = [(ctx.n, ctx.modulus, shape, dedupe, stride) for stride in _strides(items, workers)]
     raw: dict[tuple, int] = {}
     scanned = rejected = 0
-    for hits, cnt, rej in _run_shards(_shard, shards):
+    for hits, cnt, rej in _run_shards(_shard, shards, pool):
         raw.update(hits)
         scanned += cnt
         rejected += rej
@@ -491,6 +545,8 @@ def search_sparse(
     dedupe: str = "qm",
     long_run: bool = False,
     workers: int = 1,
+    *,
+    pool=None,
 ) -> SearchReport:
     """Exhaustive search over any shape template in SHAPES.
 
@@ -506,8 +562,13 @@ def search_sparse(
     representative per equivalence class and prunes coefficient orbits during
     enumeration; dedupe="none" is the literal loop.  Every shape runs up to
     n = SEARCH_MAX_N, or SEARCH_LONG_MAX_N with long_run.
+
+    The search splits into min(workers, shard items) shards.  The first runs
+    in the calling process and the others in pool, a ProcessPoolExecutor
+    that worker_pool opens for a run of searches; with pool=None the search
+    opens a pool of its own.
     """
-    return _search(ctx, shape, dedupe, long_run, workers)
+    return _search(ctx, shape, dedupe, long_run, workers, pool)
 
 
 # ---------------------------------------------------------------------------

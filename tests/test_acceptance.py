@@ -359,8 +359,8 @@ def test_criterion_10_determinism(capsys):
     ],
 )
 def test_criterion_10_pinned_table_digests(capsys, argv, digest):
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         assert main(["tables", *argv, "--workers", str(workers), "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, workers)
-    _ok(f"criterion 10 (tables {' '.join(argv)} matches its pinned SHA-256 at 1 and 2 workers)")
+    _ok(f"criterion 10 (tables {' '.join(argv)} matches its pinned SHA-256 at 1, 2 and 3 workers)")

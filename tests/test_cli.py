@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
@@ -54,8 +55,15 @@ def parse_document(text: str):
     raise ValueError(f"unknown document kind {kind!r}")
 
 
+_PID = os.getpid()
+
+
 def _dying_shard(args):
-    os._exit(1)
+    """Ends a pool worker at once; the calling process runs its own shard
+    as an empty one, so only the worker dies."""
+    if os.getpid() != _PID:
+        os._exit(1)
+    return [], 0, 0
 
 
 def _child_env():
@@ -167,7 +175,7 @@ class TestSearch:
     def test_degree5_n7_needs_long(self, capsys, monkeypatch):
         shards = []
 
-        def record(fn, shard_args):  # keeps the shard arguments, scans nothing
+        def record(fn, shard_args, pool=None):  # keeps the shard arguments, scans nothing
             shards.extend(shard_args)
             return [([], 0, 0)] * len(shard_args)
 
@@ -195,11 +203,15 @@ class TestSearch:
 
     def test_dead_worker_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(search, "_shard", _dying_shard)
-        code, out, err = run(capsys, "search", "--shape", "binomial", "--n", "4", "--workers", "2")
-        assert code == 2
-        assert "error: a search worker process died" in err
-        assert "Traceback" not in err
-        assert out == ""
+        for argv in (
+            ("search", "--shape", "binomial", "--n", "4", "--workers", "2"),
+            ("tables", "--which", "II", "--n-max", "4", "--workers", "2"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "error: a search worker process died" in err
+            assert "Traceback" not in err
+            assert out == ""
 
 
 class TestTables:
@@ -219,6 +231,32 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--which", "II", "--n-max", "6", "--workers", "2")
         assert code == 0
         assert "MISMATCH" not in out
+
+    def test_one_pool_per_command(self, capsys, monkeypatch):
+        pools, submitted = [], []
+
+        class InlinePool:  # records its size and each shard it gets, starts no process
+            def __init__(self, max_workers, mp_context=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, args):
+                submitted.append(args[0])
+                done = Future()
+                done.set_result(fn(args))
+                return done
+
+        _, plain, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "1", "--format", "json")
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        code, out, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "3", "--format", "json")
+        assert code == 0 and out == plain
+        assert pools == [2]  # one pool; each search's first shard runs in the calling process
+        assert submitted == [3, 3, 4, 4, 5, 5]
 
     def test_byte_identical_across_worker_counts(self, capsys):
         _, out1, _ = run(capsys, "tables", "--which", "II", "--n-max", "4", "--workers", "1", "--format", "json")
