@@ -5,10 +5,10 @@ One driver and one shard function serve the four templates in SHAPES, which
 declares each shape's shard items: every a3 for degree 5, the leading
 exponent k for binomials and quadrinomials, and for trinomials the
 unit-relabelling orbits of the exponent pairs (k, l) in template order.
-Every shard builds one table set, read by every shape: the multiply table of
-each field element and the power list of each exponent.  Candidates are
-verified by the fiber kernel of two2one, fed a power list and at most two
-coefficient streams; it stops at the first fiber of size 3.  Shard i of W
+Every shard builds one table set, read by every shape and by the fiber sieve:
+the multiply table of each field element and the power list of each exponent.
+Candidates are verified by the fiber kernel of two2one, fed a value list and
+one coefficient stream; it stops at the first fiber of size 3.  Shard i of W
 scans every W-th item from the i-th on; the cost of an item grows with k, so
 the strides carry about equal work.  Shard 0 runs in the calling process and
 the others in a pool of W - 1 worker processes, opened per search or shared
@@ -32,7 +32,7 @@ f^sigma = sq o f o sqrt is x^k + beta^2*x^l + alpha^2*x, 2-to-1 exactly when
 f is, so an orbit with a rejected member holds no hit, and one kernel call
 decides all the others.  Binomials (alpha on x^l, which rescaling moves as it
 moves the trinomial's beta) and quadrinomials (no free coefficient) run the
-kernel on every candidate.
+kernel on every candidate, a quadrinomial's on x^k + x^l + x with x^d streamed.
 
 The trinomial scan sieves one exponent pair per unit-relabelling orbit: for a
 unit e in S = {k, l, 1}, x -> x^(1/e) permutes the field and sends S to S/e,
@@ -242,7 +242,7 @@ def _relabel(N: int, k: int, l: int, e: int, dedupe: str):
     return k2, l2, image
 
 
-def _fiber_sieve(ctx: FieldCtx):
+def _fiber_sieve(ctx: FieldCtx, tabs, powers):
     """sieve(terms, alphas): the alphas for which h + alpha*x, h the sum of
     c*x^e over the (e, c) in terms, 0 < e < 2^n, has a fiber of exactly two
     points through each of x0 = 0, g^0 and g^1.
@@ -253,27 +253,19 @@ def _fiber_sieve(ctx: FieldCtx):
     alpha is never a hit.  D is the sum of c*q_e, q_e(y) = (y^e + x0^e)/(y + x0),
     and q_e = x0*q_(e-1) + y^(e-1) with q_0 = 0.  For each x0 the sieve keeps
     every q_e over y = g^0 .. g^(2^n - 2) as one byte string, built by that
-    recursion with one bytes.translate and one xor per step; the slot of
-    y = x0 holds the value at y = 0, where y^(e-1) reads 0^(e-1).  A sieve
-    call is then one translate by a 256-byte multiply table per term, an xor
-    of big ints and one Counter per x0.  Field elements must fit in a byte,
-    so n <= 8; raises ValueError above.
+    recursion from the shard's tables (tabs[c] multiplies by c, powers[m]
+    holds y^m at y = g^i) with one bytes.translate and one xor per step; the
+    slot of y = x0 holds the value at y = 0, where y^(e-1) reads 0^(e-1).  A
+    sieve call is then one translate by tabs[c], padded to 256 bytes, per
+    term, an xor of big ints and one Counter per x0.  Field elements must fit
+    in a byte, so n <= 8; raises ValueError above.
     """
     order = ctx.order
     if order > 256:
         raise ValueError(f"the fiber sieve keeps field elements in bytes, so n <= 8, got n={ctx.n}")
-    EXP = ctx.log_tables()[0]
     N = order - 1
     pad = bytes(256 - order)
-    # MUL[c] maps each element to c times it; times g, translated once per power of g
-    MUL = [bytes(256)] * order
-    times_g = bytes(ctx.mul_table(ctx.generator)) + pad
-    t = bytes(range(order)) + pad
-    for c in EXP[:N]:
-        MUL[c] = t
-        t = t.translate(times_g)
-    Y = bytes(EXP[:N])
-    powers = [b"\x01" * N] + [(Y * m)[::m] for m in range(1, N)]  # y^m at y = g^i
+    MUL = [bytes(t) + pad for t in tabs]  # translate tables: MUL[c] maps each element to c times it
     strings = []  # per x0, q_e over y for e = 0 .. N
     for x0, slot in ((0, None), (1, 0), (ctx.generator, 1)):
         q = bytes(N)
@@ -307,15 +299,17 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     size of its monic-rescaling orbit when dedupe="qm" prunes, else 1; the
     rescaling translates the coefficient logs, so one (k, l) has one size.
 
-    One table set per shard serves every shape: tabs[c] multiplies by c, and
-    powers[e] holds x^e at x = g^i; the kernel's value list of a degree-5 or
-    trinomial h is built only for the sieve's survivors.  The trinomial scan
-    sieves every candidate of an orbit's least pair (k, l), then walks the
-    survivors under sigma, the map of their logs (B, A) to the representative
-    of (beta^2, alpha^2), which permutes the representatives with sigma^n the
-    identity: a sigma-orbit with a rejected member holds no hit, so the walk
-    stops there, and one kernel call decides an orbit that survived whole.
-    _relabel maps the hits to every member of the orbit."""
+    One table set per shard serves every shape and the fiber sieve: tabs[c]
+    multiplies by c, and powers[e] holds x^e at x = g^i.  The kernel's value
+    list of a degree-5 or trinomial h is built only for the sieve's
+    survivors, and a quadrinomial's x^k + x^l + x once per (k, l), with x^d
+    the stream.  The trinomial scan sieves every candidate of an orbit's
+    least pair (k, l), then walks the survivors under sigma, the map of their
+    logs (B, A) to the representative of (beta^2, alpha^2), which permutes
+    the representatives with sigma^n the identity: a sigma-orbit with a
+    rejected member holds no hit, so the walk stops there, and one kernel
+    call decides an orbit that survived whole.  _relabel maps the hits to
+    every member of the orbit."""
     n, modulus, shape, dedupe, items = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
@@ -328,7 +322,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     scanned = rejected = 0
     if shape == "degree5":
         A5, A3, A2 = powers[5], powers[3], powers[2]
-        sieve = _fiber_sieve(ctx)
+        sieve = _fiber_sieve(ctx, tabs, powers)
         for a3 in items:
             T3 = tabs[a3]
             for a2, T2 in enumerate(tabs):
@@ -338,7 +332,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 if survivors:
                     W = [A5[i] ^ T3[A3[i]] ^ T2[A2[i]] for i in range(N)]
                     for a1 in survivors:
-                        if fibers_two_to_one(order, 0, W, a1, tg, 0, (0,)):
+                        if fibers_two_to_one(order, 0, W, a1, tg):
                             hits.append((tuple(t for t in ((5, 1), (3, a3), (2, a2), (1, a1)) if t[1]), 1))
     elif shape == "binomial":
         for k in items:
@@ -350,10 +344,10 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                 TL = tabs[EXP[l]]
                 for alpha in EXP[:u]:
                     scanned += 1
-                    if fibers_two_to_one(order, 0, AK, alpha, TL, 0, (0,)):
+                    if fibers_two_to_one(order, 0, AK, alpha, TL):
                         hits.append((((k, 1), (l, alpha)), N // u))
     elif shape == "trinomial":
-        sieve = _fiber_sieve(ctx)
+        sieve = _fiber_sieve(ctx, tabs, powers)
         for k, l, units in items:
             AK, AL = powers[k], powers[l]
             u, w, rescale = _rescaling_reps(N, k, l, dedupe)
@@ -379,7 +373,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                     B, A = rep
                     TB = tabs[EXP[B]]
                     H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + g^B*x^l
-                    if fibers_two_to_one(order, 0, H, EXP[A], tg, 0, (0,)):
+                    if fibers_two_to_one(order, 0, H, EXP[A], tg):
                         found.extend(orbit)
             if found:
                 weight = N * N // (u * w)
@@ -390,13 +384,12 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                         hits.append((((k2, 1), (l2, EXP[B]), (1, EXP[A])), weight))
     else:  # quadrinomial
         for k in items:
-            AK = powers[k]
-            base = [AK[i] ^ EXP[i] for i in range(N)]  # x^k + x
+            base = [a ^ b for a, b in zip(powers[k], powers[1])]  # x^k + x
             for l in range(3, k):
-                TL = tabs[EXP[l]]
+                KL = [a ^ b for a, b in zip(base, powers[l])]  # x^k + x^l + x
                 for d in range(2, l):
                     scanned += 1
-                    if fibers_two_to_one(order, 0, base, 1, TL, 1, tabs[EXP[d]]):
+                    if fibers_two_to_one(order, 0, KL, 1, tabs[EXP[d]]):
                         hits.append((((k, 1), (l, 1), (d, 1), (1, 1)), 1))
     return hits, scanned, rejected
 

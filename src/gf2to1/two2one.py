@@ -16,7 +16,8 @@ multiplicatively (x = g^i) so each sparse term advances by one fixed
 multiplication per point.  The domain walk steps each term with the two
 split tables of FieldCtx.split_table, about 2^(n/2) entries each, so a scan
 that exits after a few points builds little.  One kernel, fibers_two_to_one,
-does that counting for the verifier, the o-polynomial test and every search.
+counts the fibers of a value list plus one coefficient stream u*s^i for the
+verifier (whose stream is zero), the o-polynomial test and every search.
 """
 
 from __future__ import annotations
@@ -88,26 +89,25 @@ class PreimageHistogram:
         return all(c == 2 for c in self.counts.values())
 
 
-def fibers_two_to_one(order: int, f0: int, base, u0: int, t0, u1: int, t1) -> bool:
-    """The fiber kernel: whether f0 and the values base[i] ^ u0*s0^i ^ u1*s1^i
-    together fill only fibers of size 0 or 2.
+def fibers_two_to_one(order: int, f0: int, base, u: int, t) -> bool:
+    """The fiber kernel: whether f0 and the values base[i] ^ u*s^i together
+    fill only fibers of size 0 or 2.
 
-    t0 and t1 are the mul_table step tables of the two coefficient streams
-    (t[u] = s*u); a stream that is always zero is (0, (0,)).  The searches
-    and the o-polynomial test pass streams here; the verifier passes its whole
-    split-table _walk as base with two zero streams.  Returns at the first
-    fiber of size 3, so a lazy base is consumed only that far.
+    t is the mul_table step table of the one coefficient stream (t[u] = s*u);
+    (0, (0,)) is the zero stream.  The searches and the o-polynomial test pass
+    a stream here; the verifier passes its whole split-table _walk as base
+    with the zero stream.  Returns at the first fiber of size 3, so a lazy
+    base is consumed only that far.
     """
     counts = bytearray(order)
     counts[f0] = 1
     for w in base:
-        v = w ^ u0 ^ u1
+        v = w ^ u
         c = counts[v]
         if c == 2:
             return False
         counts[v] = c + 1
-        u0 = t0[u0]
-        u1 = t1[u1]
+        u = t[u]
     return 1 not in counts
 
 
@@ -179,7 +179,7 @@ def is_two_to_one(f: SparsePoly) -> bool:
         return _orbits_two_to_one(terms, *tables)
     const, streams = _streams(f)
     walk = _walk(f.ctx.order, const, streams)
-    return fibers_two_to_one(f.ctx.order, const, walk, 0, (0,), 0, (0,))
+    return fibers_two_to_one(f.ctx.order, const, walk, 0, (0,))
 
 
 def _orbits_two_to_one(terms, antilog, key, leaders, sizes) -> bool:
@@ -220,7 +220,7 @@ def is_o_polynomial(f: SparsePoly) -> bool:
         return False
     base = list(_walk(ctx.order, 0, streams))
     tg = ctx.mul_table(ctx.generator)
-    return all(fibers_two_to_one(ctx.order, 0, base, a, tg, 0, (0,)) for a in ctx.nonzero())
+    return all(fibers_two_to_one(ctx.order, 0, base, a, tg) for a in ctx.nonzero())
 
 
 def square_map(f: SparsePoly) -> SparsePoly:

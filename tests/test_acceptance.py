@@ -356,6 +356,11 @@ def test_criterion_10_determinism(capsys):
             "e3b64de8583a2203a3c1dd860d1273eb21debafb094e7895929484fdc77491eb",
             marks=pytest.mark.long,
         ),
+        pytest.param(
+            ["--which", "III", "--long"],
+            "83e0fbbc2d64f13d2c0fe8528682a83c5fff9b161ce8957762984d35fd5be5c4",
+            marks=pytest.mark.long,
+        ),
     ],
 )
 def test_criterion_10_pinned_table_digests(capsys, argv, digest):

@@ -231,7 +231,7 @@ class TestSparseSearches:
         # every candidate a hit, so the shard lists each representative it scans;
         # N = 15 is composite, so some orbits are short
         monkeypatch.setattr(search, "fibers_two_to_one", lambda *args: True)
-        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx: lambda terms, alphas: alphas)
+        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx, tabs, powers: lambda terms, alphas: alphas)
         ctx = F16
         N = ctx.order - 1
         hits, scanned, _ = search._shard((4, ctx.modulus, shape, "qm", OUTER[shape](ctx.order)))
@@ -356,6 +356,14 @@ class TestDeterminism:
                 assert scanned > 0, (workers, stride)
 
 
+def shard_tables(ctx):
+    """The table set a search shard builds: the multiply table of every
+    element, and x^e at x = g^i for every exponent e below 2^n - 1."""
+    N = ctx.order - 1
+    EXP = ctx.log_tables()[0]
+    return [ctx.mul_table(c) for c in ctx.elements()], [[EXP[i * e % N] for i in range(N)] for e in range(N)]
+
+
 def literal_sieve(ctx, terms):
     """The alphas for which h + alpha*x, h the sum of c*x^e over terms, has a
     fiber of exactly two points through each of 0, 1 and the generator:
@@ -395,7 +403,7 @@ class TestFiberSieve:
             [(rng.randrange(2, N + 1), rng.randrange(1, ctx.order)) for _ in range(rng.randrange(1, 4))]
             for _ in range(12 if n <= 6 else 3)
         ]
-        sieve = search._fiber_sieve(ctx)
+        sieve = search._fiber_sieve(ctx, *shard_tables(ctx))
         survived = 0
         for terms in cases:
             got = sieve(terms, list(ctx.elements()))
@@ -406,14 +414,14 @@ class TestFiberSieve:
 
     def test_elements_must_fit_in_a_byte(self):
         with pytest.raises(ValueError, match="n <= 8, got n=9"):
-            search._fiber_sieve(make_field(9))
+            search._fiber_sieve(make_field(9), *shard_tables(make_field(9)))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shape,dedupe,n", SIEVE_CASES)
     def test_reports_match_the_kernel_only_scan(self, shape, dedupe, n, workers, monkeypatch):
         ctx = make_field(n)
         sieved = search_sparse(ctx, shape, dedupe, workers=workers)
-        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx: lambda terms, alphas: alphas)
+        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx, tabs, powers: lambda terms, alphas: alphas)
         plain = search_sparse(ctx, shape, dedupe, workers=workers)
         assert report_to_json(sieved, include_timing=False) == report_to_json(plain, include_timing=False)
         assert sieved.candidates_scanned == plain.candidates_scanned
@@ -428,6 +436,12 @@ class TestFiberSieve:
             assert reps[0].sieve_rejected > 0
         else:  # binomials and quadrinomials run the kernel on every candidate
             assert reps[0].sieve_rejected == 0
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_one_kernel_call_per_quadrinomial(self, n, monkeypatch):
+        ctx = make_field(n)
+        scanned = search_sparse(ctx, "quadrinomial").candidates_scanned
+        assert kernel_calls(ctx, monkeypatch, "quadrinomial") == scanned
 
     def test_rejection_count_is_run_statistics(self):
         rep = search_sparse(F16, "trinomial", "qm")
@@ -489,7 +503,7 @@ class TestFrobeniusStep:
 
     @pytest.mark.parametrize("n,calls", [(4, 2), (5, 3), (6, 49)])
     def test_one_kernel_call_per_orbit_of_survivors(self, n, calls, monkeypatch):
-        assert kernel_calls(make_field(n), monkeypatch) == calls
+        assert kernel_calls(make_field(n), monkeypatch, "trinomial") == calls
 
     @pytest.mark.parametrize("n,counts", [(5, (12_400, 11_764)), (6, (155_484, 148_779))])
     def test_scan_counts_pinned(self, n, counts):
@@ -497,8 +511,8 @@ class TestFrobeniusStep:
         assert (rep.candidates_scanned, rep.sieve_rejected) == counts
 
 
-def kernel_calls(ctx, monkeypatch):
-    """The fiber kernel calls of a qm trinomial search at one worker."""
+def kernel_calls(ctx, monkeypatch, shape):
+    """The fiber kernel calls of a qm search of shape at one worker."""
     spy = Counter()
     kernel = search.fibers_two_to_one
 
@@ -507,7 +521,7 @@ def kernel_calls(ctx, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(search, "fibers_two_to_one", counting)
-    search_sparse(ctx, "trinomial")
+    search_sparse(ctx, shape)
     return spy["calls"]
 
 
@@ -607,7 +621,7 @@ class TestUnitRelabelling:
     @pytest.mark.parametrize("n,calls", [(4, 3), (5, 8), (6, 87)])
     def test_relabel_off_kernel_calls_pinned(self, n, calls, monkeypatch):
         monkeypatch.setattr(search, "_trinomial_orbits", pairs_as_own_orbits)
-        assert kernel_calls(make_field(n), monkeypatch) == calls
+        assert kernel_calls(make_field(n), monkeypatch, "trinomial") == calls
 
 
 class TestUnitWalk:

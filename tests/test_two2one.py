@@ -82,7 +82,7 @@ def gf2_coefficient_poly(draw, n_max=14):
 def kernel_two_to_one(f):
     """The oracle for the orbit path: fibers_two_to_one over the whole domain walk."""
     const, streams = two2one._streams(f)
-    return fibers_two_to_one(f.ctx.order, const, two2one._walk(f.ctx.order, const, streams), 0, (0,), 0, (0,))
+    return fibers_two_to_one(f.ctx.order, const, two2one._walk(f.ctx.order, const, streams), 0, (0,))
 
 
 def shift_criterion(f):
@@ -172,8 +172,8 @@ class TestHistogram:
             is_two_to_one(sp(big, (2, 1), (1, 1)))
 
     def test_five_term_polynomials_use_generic_scan(self):
-        # the last two terms are the kernel's streams; _walk folds the other
-        # three into its base, the first of them one generator level deeper
+        # _walk steps the last two terms at its top level and folds the other
+        # three into a nested walk, the first of them one level deeper
         f = sp(F16, (9, 3), (7, 1), (5, 2), (3, 1), (1, 1))
         h = preimage_histogram(f)
         assert is_two_to_one(f) == h.is_two_to_one
@@ -236,6 +236,51 @@ class TestIsTwoToOne:
 
     def test_shift_criterion_on_permutation(self):
         assert not shift_criterion(sp(F8, (1, 1)))
+
+
+class TestFiberKernel:
+    """fibers_two_to_one with a live coefficient stream, against a literal
+    Counter over f0 and base[i] ^ u*s^i, the stream built with ctx.mul and
+    ctx.pow."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_matches_literal_fiber_count(self, n):
+        ctx = make_field(n)
+        rng = random.Random(n)
+        N = ctx.order - 1
+        verdicts = Counter()
+        for case in range(24):
+            # values: every one twice (2-to-1), one pair broken by an unused
+            # value (no fiber of 3, yet not 2-to-1), or uniform at random
+            pairs = rng.sample(range(ctx.order), ctx.order // 2)
+            values = pairs * 2
+            if case % 3 == 1:
+                values[0] = next(v for v in range(ctx.order) if v not in pairs)
+            elif case % 3 == 2:
+                values = [rng.randrange(ctx.order) for _ in values]
+            rng.shuffle(values)
+            s = rng.randrange(1, ctx.order)
+            u = rng.randrange(1, ctx.order) if case % 4 else 0
+            t = ctx.mul_table(s) if u else (0,)
+            f0 = values[0]
+            base = [v ^ ctx.mul(u, ctx.pow(s, i)) for i, v in enumerate(values[1:])]
+            counts = Counter([f0] + [base[i] ^ ctx.mul(u, ctx.pow(s, i)) for i in range(N)])
+            expected = all(c == 2 for c in counts.values())
+            assert fibers_two_to_one(ctx.order, f0, base, u, t) == expected, case
+            verdicts[expected] += 1
+            # a lazy base is read up to the first point that makes a fiber of 3
+            read = []
+            lazy = (read.append(w) or w for w in base)
+            assert fibers_two_to_one(ctx.order, f0, lazy, u, t) == expected
+            seen = Counter([f0])
+            for i, v in enumerate(values[1:], 1):
+                seen[v] += 1
+                if seen[v] == 3:
+                    assert len(read) == i, case
+                    break
+            else:
+                assert len(read) == N
+        assert verdicts[True] and verdicts[False]
 
 
 class TestOrbitPath:
