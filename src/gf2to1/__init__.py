@@ -21,7 +21,6 @@ from .poly import (
     dickson,
     dickson_eval,
     dickson_inverse_exponent,
-    parse_bivar,
     parse_poly,
     reduce_exponents,
     resultant,

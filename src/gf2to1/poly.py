@@ -8,7 +8,9 @@ Three representations, all immutable:
 * DensePoly  -- coefficients indexed by degree; proof-side polynomials,
   resultants, low-degree equation work.
 * BivarPoly  -- a dense polynomial in y whose coefficients are DensePoly
-  values in x; resultant elimination and zero counting.
+  values in x.  It has two jobs: the point-count curve of a quintic, whose
+  affine zeros count_bivariate_zeros counts, and the pair F, G that
+  resultant_eliminate reduces to one polynomial in x.
 
 GF2Poly, a polynomial over GF(2) in x and two parameters a and b, carries the
 same Sylvester determinant, so an elimination identity is proved once over
@@ -16,7 +18,6 @@ GF(2)[a, b] rather than at every point of a field.
 
 Text grammar (CLI and reports): terms joined by '+', each term ``x^K``,
 ``0xC*x^K`` or ``0xC``, exponents decimal, coefficients lowercase hex.
-Bivariate uses the same shape with variables x and y.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .field import FieldCtx, fmt_elem, read_int
-
-BIVAR_SCAN_MAX_N = 12
+from .field import LOG_TABLE_MAX_N, FieldCtx, fmt_elem, read_int
 
 __all__ = [
     "SparsePoly",
@@ -43,7 +42,6 @@ __all__ = [
     "dickson_inverse_exponent",
     "count_bivariate_zeros",
     "parse_poly",
-    "parse_bivar",
     "equal_up_to_scalar",
 ]
 
@@ -96,7 +94,16 @@ class SparsePoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0x0"
-        return "+".join(_fmt_bivar_term(c, e, 0) for e, c in self.terms)
+        return "+".join(_fmt_term(c, e) for e, c in self.terms)
+
+
+def _fmt_term(c: int, e: int) -> str:
+    factors = []
+    if c != 1 or e == 0:
+        factors.append(fmt_elem(c))
+    if e:
+        factors.append("x" if e == 1 else f"x^{e}")
+    return "*".join(factors)
 
 
 def reduce_exponents(f: SparsePoly) -> SparsePoly:
@@ -406,25 +413,6 @@ class BivarPoly:
             cs.pop()
         return BivarPoly(ctx, tuple(cs))
 
-    @staticmethod
-    def from_terms(ctx: FieldCtx, terms) -> "BivarPoly":
-        """terms: iterable of (x_exp, y_exp, coeff)."""
-        acc: dict[int, dict[int, int]] = {}
-        max_y = -1
-        for xe, ye, c in terms:
-            acc.setdefault(ye, {})
-            acc[ye][xe] = acc[ye].get(xe, 0) ^ c
-            max_y = max(max_y, ye)
-        cols = []
-        for ye in range(max_y + 1):
-            row = acc.get(ye, {})
-            width = max(row) + 1 if row else 0
-            coeffs = [0] * width
-            for xe, c in row.items():
-                coeffs[xe] = c
-            cols.append(DensePoly.make(ctx, coeffs))
-        return BivarPoly.make(ctx, cols)
-
     @property
     def is_zero(self) -> bool:
         return not self.ycoeffs
@@ -440,45 +428,35 @@ class BivarPoly:
             acc = mul(acc, y) ^ c.eval(x)
         return acc
 
-    def __str__(self) -> str:
-        parts = []
-        for ye in range(self.deg_y, -1, -1):
-            c = self.ycoeffs[ye]
-            for xe in range(c.degree, -1, -1):
-                v = c.coeff(xe)
-                if v:
-                    parts.append(_fmt_bivar_term(v, xe, ye))
-        return "+".join(parts) if parts else "0x0"
-
-
-def _fmt_bivar_term(c: int, xe: int, ye: int) -> str:
-    factors = []
-    if c != 1 or (xe == 0 and ye == 0):
-        factors.append(fmt_elem(c))
-    if xe:
-        factors.append("x" if xe == 1 else f"x^{xe}")
-    if ye:
-        factors.append("y" if ye == 1 else f"y^{ye}")
-    return "*".join(factors)
-
 
 def count_bivariate_zeros(G: BivarPoly) -> int:
-    """Cardinality of the affine zero set by a full 2^(2n) scan (n <= 12)."""
+    """Cardinality of the affine zero set of G, of x-degree at most 2, by one
+    pass over y.
+
+    At each y, G is c2*x^2 + c1*x + c0.  With c1 and c2 both nonzero it has 2
+    roots when Tr(c0*c2/c1^2) = 0 and none otherwise (Artin-Schreier, as in
+    lowdeg.quadratic_solutions); with exactly one of them zero, 1 root; with
+    both zero, 2^n roots when c0 = 0 and none otherwise.  An x-degree above 2
+    raises ValueError, and so does n > LOG_TABLE_MAX_N, where mul stops being
+    a table lookup.
+    """
     ctx = G.ctx
-    if ctx.n > BIVAR_SCAN_MAX_N:
-        raise ValueError(f"bivariate zero scan capped at n={BIVAR_SCAN_MAX_N}, got n={ctx.n}")
-    if G.is_zero:
-        return ctx.order * ctx.order
-    mul = ctx.mul
+    if ctx.n > LOG_TABLE_MAX_N:
+        raise ValueError(f"bivariate zero count capped at n={LOG_TABLE_MAX_N}, got n={ctx.n}")
+    deg_x = max((c.degree for c in G.ycoeffs), default=-1)
+    if deg_x > 2:
+        raise ValueError(f"bivariate zero count needs x-degree at most 2, got x-degree {deg_x}")
+    c0s, c1s, c2s = (DensePoly.make(ctx, [c.coeff(i) for c in G.ycoeffs]) for i in range(3))
+    mul, trace = ctx.mul, ctx.trace_abs
     count = 0
-    for x in ctx.elements():
-        col = [c.eval(x) for c in G.ycoeffs]
-        for y in ctx.elements():
-            acc = 0
-            for c in reversed(col):
-                acc = mul(acc, y) ^ c
-            if acc == 0:
-                count += 1
+    for y in ctx.elements():
+        c0, c1, c2 = c0s.eval(y), c1s.eval(y), c2s.eval(y)
+        if c1 and c2:
+            count += 0 if trace(ctx.div(mul(c0, c2), mul(c1, c1))) else 2
+        elif c1 or c2:
+            count += 1
+        elif c0 == 0:
+            count += ctx.order
     return count
 
 
@@ -533,45 +511,32 @@ def _parse_factor(tok: str):
     tok = tok.strip()
     if not tok:
         raise ValueError("empty factor in polynomial text")
-    if tok in ("x", "y"):
-        return (tok, 1)
+    if tok == "x":
+        return ("x", 1)
     try:
         if tok[:2] in ("0x", "0X"):
             return ("coeff", read_int(tok, 16, "coefficient"))
-        if tok[:2] in ("x^", "y^"):
-            return (tok[0], read_int(tok[2:], 10, "exponent"))
-        raise ValueError("expected 0xC, x, y, x^K or y^K")
+        if tok[:2] == "x^":
+            return ("x", read_int(tok[2:], 10, "exponent"))
+        raise ValueError("expected 0xC, x or x^K")
     except ValueError as exc:
         raise ValueError(f"bad factor {tok!r} in polynomial text: {exc}") from None
 
 
-def _parse_terms(ctx: FieldCtx, text: str):
-    """Yield (coeff, x_exp, y_exp) triples from the term grammar."""
+def parse_poly(ctx: FieldCtx, text: str) -> SparsePoly:
+    """Read the term grammar of the module docstring."""
     if not text.strip():
         raise ValueError("empty polynomial text")
+    pairs = []
     for term in text.split("+"):
-        c, xe, ye = 1, 0, 0
+        c, e = 1, 0
         for tok in term.split("*"):
             kind, v = _parse_factor(tok)
-            if kind == "coeff":
-                if v >= ctx.order:
-                    raise ValueError(f"coefficient {v:#x} out of range for {ctx.label()}")
-                c = ctx.mul(c, v)
-            elif kind == "x":
-                xe += v
+            if kind == "x":
+                e += v
+            elif v >= ctx.order:
+                raise ValueError(f"coefficient {v:#x} out of range for {ctx.label()}")
             else:
-                ye += v
-        yield c, xe, ye
-
-
-def parse_poly(ctx: FieldCtx, text: str) -> SparsePoly:
-    pairs = []
-    for c, xe, ye in _parse_terms(ctx, text):
-        if ye:
-            raise ValueError("variable y not allowed in a univariate polynomial")
-        pairs.append((xe, c))
+                c = ctx.mul(c, v)
+        pairs.append((e, c))
     return SparsePoly.make(ctx, pairs)
-
-
-def parse_bivar(ctx: FieldCtx, text: str) -> BivarPoly:
-    return BivarPoly.from_terms(ctx, ((xe, ye, c) for c, xe, ye in _parse_terms(ctx, text)))

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -327,6 +328,18 @@ class TestCountPoints:
         code, _, err = run(capsys, "count-points", "--a3", "0x9", "--a2", "0x0", "--a1", "0x0", "--n", "3")
         assert code == 2
 
+    def test_below_bound_at_the_cap(self, capsys):
+        # 4180 agrees with perfbench/gfref.count_quadratic_in_x on the same curve
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count-points", "--a3", "0x1", "--a2", "0x2", "--a1", "0x7", "--n", "12")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "curve points over gf2_12/0x1009: 4180 (lower bound 8174)\n")
+
+    def test_above_the_cap(self, capsys):
+        code, out, err = run(capsys, "count-points", "--a3", "0x1", "--a2", "0x2", "--a1", "0x7", "--n", "13")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "capped at n=12" in err and err.count("\n") == 1
+
 
 class TestLemma:
     @pytest.mark.parametrize("which", ["2.4", "2.5", "2.6"])
@@ -532,7 +545,8 @@ class TestUsageErrorShape:
 
 
 class TestStrictNumbers:
-    """Numbers int() would read but the grammar forbids are usage errors."""
+    """Numbers int() would read but the grammar forbids, and factors outside
+    the grammar, are usage errors."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -541,11 +555,13 @@ class TestStrictNumbers:
             (("check", "0x_1*x^3+x", "--n", "3"), "bad factor '0x_1' in polynomial text"),
             (("check", "x^ 3", "--n", "3"), "bad factor 'x^ 3' in polynomial text"),
             (("check", "x^+3 + x", "--n", "3"), "bad factor 'x^' in polynomial text"),
+            (("check", "x*y", "--n", "3"), "bad factor 'y' in polynomial text"),
+            (("check", "x^2+y", "--n", "3"), "bad factor 'y' in polynomial text"),
             (("family", "tri_I", "--n", "4", "--param", "0x_3"), "bad element '0x_3'"),
             (("check", "x^3", "--n", "3", "--modulus", "0x1_3"), "bad modulus '0x1_3'"),
         ],
-        ids=["exponent-underscore", "coefficient-underscore", "exponent-space", "exponent-sign", "param",
-             "modulus"],
+        ids=["exponent-underscore", "coefficient-underscore", "exponent-space", "exponent-sign", "y-factor",
+             "y-term", "param", "modulus"],
     )
     def test_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -15,7 +16,6 @@ from gf2to1.poly import (
     dickson_eval,
     dickson_inverse_exponent,
     equal_up_to_scalar,
-    parse_bivar,
     parse_poly,
     reduce_exponents,
     resultant,
@@ -134,7 +134,18 @@ class TestResultant:
 
 
 def bivar(ctx, terms):
-    return BivarPoly.from_terms(ctx, terms)
+    """The BivarPoly with (x_exp, y_exp, coeff) terms; like terms add."""
+    cols = [[0] * (1 + max((xe for xe, _, _ in terms), default=0))
+            for _ in range(1 + max((ye for _, ye, _ in terms), default=0))]
+    for xe, ye, c in terms:
+        cols[ye][xe] ^= c
+    return BivarPoly.make(ctx, cols)
+
+
+def zeros_by_scan(G):
+    """The affine zero count by the literal 2^(2n) double loop over G.eval."""
+    ctx = G.ctx
+    return sum(1 for x in ctx.elements() for y in ctx.elements() if G.eval(x, y) == 0)
 
 
 class TestEliminant:
@@ -306,10 +317,29 @@ class TestBivarCount:
 
     def test_matches_direct_scan(self):
         G = bivar(F8, [(2, 2, 1), (1, 0, F8.generator), (0, 1, 1), (0, 0, 3)])
-        direct = sum(
-            1 for x in F8.elements() for y in F8.elements() if G.eval(x, y) == 0
-        )
-        assert count_bivariate_zeros(G) == direct
+        assert count_bivariate_zeros(G) == zeros_by_scan(G)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_scan_on_random_quadratics(self, n):
+        # every case of the count: c1 and c2 live, c1 = 0 (x^2 = c0), c2 = 0
+        # (linear in x), both zero (c0 only, 2^n roots wherever c0 = 0), and G = 0
+        ctx = make_field(n)
+        rng = random.Random(n)
+        shapes = [(0, 1, 2), (0, 2), (0, 1), (0,), (1, 2)]
+        for xs in shapes:
+            for _ in range(4):
+                terms = [(xe, ye, rng.randrange(ctx.order)) for xe in xs for ye in range(rng.randrange(1, 5))]
+                G = bivar(ctx, terms)
+                assert count_bivariate_zeros(G) == zeros_by_scan(G), (xs, terms)
+        # c0 = y + g: at y = g every x is a root
+        G = bivar(ctx, [(0, 1, 1), (0, 0, ctx.generator)])
+        assert count_bivariate_zeros(G) == zeros_by_scan(G) == ctx.order
+        zero = BivarPoly.make(ctx, [])
+        assert count_bivariate_zeros(zero) == zeros_by_scan(zero) == ctx.order**2
+
+    def test_x_degree_above_two_rejected(self):
+        with pytest.raises(ValueError, match="x-degree 3"):
+            count_bivariate_zeros(bivar(F8, [(3, 0, 1), (0, 1, 1)]))
 
     def test_budget(self):
         big = make_field(13)
@@ -342,12 +372,6 @@ class TestGrammar:
     def test_merging_like_terms(self):
         assert parse_poly(F8, "x^2+x^2").is_zero
         assert parse_poly(F8, "0x2*x^2+0x1*x^2").terms == ((2, 3),)
-
-    def test_bivar_parse_and_round_trip(self):
-        G = parse_bivar(F8, "x^2*y^2+0x3*x*y+y+0x5")
-        assert G.deg_y == 2
-        assert G.eval(1, 1) == 1 ^ 3 ^ 1 ^ 5
-        assert parse_bivar(F8, str(G)) == G
 
     def test_errors(self):
         with pytest.raises(ValueError):
