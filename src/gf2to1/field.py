@@ -162,10 +162,11 @@ class FieldCtx:
     log_tables() returns, and mul, sqr and pow are lookups; above the cap
     they run the shift-and-xor loop.  The other operations go through them.
     Up to n = 17 it also keeps the Frobenius-orbit tables that orbit_tables()
-    returns, which the verifier reads for polynomials with coefficients in
-    GF(2).  The tables and the trace mask are built on first use, so a
-    context that is only built, compared or labelled costs what it did
-    without them; they are not part of the field's identity.
+    returns, which the verifier and the quadrinomial search read for
+    polynomials with coefficients in GF(2).  The tables and the trace mask
+    are built on first use, so a context that is only built, compared or
+    labelled costs what it did without them; they are not part of the
+    field's identity.
     """
 
     __slots__ = ("n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_orbits", "_tmask")
@@ -236,7 +237,8 @@ class FieldCtx:
         antilog[i] = g^i for i < N (array 'I'); key[v] is the orbit index of
         the field element v (array 'H'); leaders[k - 1] is the least log in
         orbit k >= 1 (array 'I'); sizes[k] is the size of orbit k, so
-        sizes[0] = 1.  The arrays are the context's own: read, never write.
+        sizes[0] = 1.  The verifier and the quadrinomial search read these
+        arrays, which are the context's own: read, never write.
         """
         if self._orbits is None and self.n <= _ORBIT_TABLE_MAX_N:
             N = self.order - 1

@@ -7,8 +7,7 @@ exponent k for binomials and quadrinomials, and for trinomials the
 unit-relabelling orbits of the exponent pairs (k, l) in template order.
 Every shard builds one table set, read by every shape and by the fiber sieve:
 the multiply table of each field element and the power list of each exponent.
-Candidates are verified by the fiber kernel of two2one, fed a value list and
-one coefficient stream; it stops at the first fiber of size 3.  Shard i of W
+Candidates are verified by the early-exit kernels of two2one.  Shard i of W
 scans every W-th item from the i-th on; the cost of an item grows with k, so
 the strides carry about equal work.  Shard 0 runs in the calling process and
 the others in a pool of W - 1 worker processes, opened per search or shared
@@ -31,8 +30,9 @@ Trinomial survivors then go to the kernel one Frobenius orbit at a time:
 f^sigma = sq o f o sqrt is x^k + beta^2*x^l + alpha^2*x, 2-to-1 exactly when
 f is, so an orbit with a rejected member holds no hit, and one kernel call
 decides all the others.  Binomials (alpha on x^l, which rescaling moves as it
-moves the trinomial's beta) and quadrinomials (no free coefficient) run the
-kernel on every candidate, a quadrinomial's on x^k + x^l + x with x^d streamed.
+moves the trinomial's beta) run the fiber kernel on every candidate.  A
+quadrinomial has coefficients 1, so the orbit kernel decides it from f at 0
+and at the Frobenius-orbit leaders, with x^k + x^l + x built once per (k, l).
 
 The trinomial scan sieves one exponent pair per unit-relabelling orbit: for a
 unit e in S = {k, l, 1}, x -> x^(1/e) permutes the field and sends S to S/e,
@@ -65,6 +65,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress, repeat
+from operator import itemgetter, xor
 
 from .field import FieldCtx, field_from_label, fmt_elem, parse_elem
 from .poly import SparsePoly, parse_poly
@@ -73,6 +74,7 @@ from .two2one import (
     admissible_family_tags,
     fibers_two_to_one,
     make_family,
+    orbits_two_to_one,
     qm_canonical,
     qm_transforms,
     qm_unit_transforms,
@@ -302,8 +304,8 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     One table set per shard serves every shape and the fiber sieve: tabs[c]
     multiplies by c, and powers[e] holds x^e at x = g^i.  The kernel's value
     list of a degree-5 or trinomial h is built only for the sieve's
-    survivors, and a quadrinomial's x^k + x^l + x once per (k, l), with x^d
-    the stream.  The trinomial scan sieves every candidate of an orbit's
+    survivors; quadrinomials cut at[e], x^e at 0 and at the orbit leaders,
+    from powers.  The trinomial scan sieves every candidate of an orbit's
     least pair (k, l), then walks the survivors under sigma, the map of their
     logs (B, A) to the representative of (beta^2, alpha^2), which permutes
     the representatives with sigma^n the identity: a sigma-orbit with a
@@ -383,13 +385,14 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                         B, A = image(B, A)
                         hits.append((((k2, 1), (l2, EXP[B]), (1, EXP[A])), weight))
     else:  # quadrinomial
+        _, key, leaders, sizes = ctx.orbit_tables()
+        at = [(0, *itemgetter(*leaders)(P)) for P in powers]  # x^e at x = 0 and the orbit leaders
         for k in items:
-            base = [a ^ b for a, b in zip(powers[k], powers[1])]  # x^k + x
             for l in range(3, k):
-                KL = [a ^ b for a, b in zip(base, powers[l])]  # x^k + x^l + x
+                KL = list(map(xor, map(xor, at[k], at[l]), at[1]))  # x^k + x^l + x
                 for d in range(2, l):
                     scanned += 1
-                    if fibers_two_to_one(order, 0, KL, 1, tabs[EXP[d]]):
+                    if orbits_two_to_one(map(xor, KL, at[d]), key, sizes):
                         hits.append((((k, 1), (l, 1), (d, 1), (1, 1)), 1))
     return hits, scanned, rejected
 

@@ -5,19 +5,17 @@ relation pairs are derived from the lift table that builds those families.
 
 A mapping f on GF(2^n) is 2-to-1 when every fiber has size 0 or 2 (a
 half-size image is necessary but not sufficient: fiber profiles like
-(3, 1, 2, ..., 2) also reach 2^(n-1) values).  The verifier has two paths.
-When every coefficient of f is 1 (the binomial and quadrinomial families)
-and n <= 17, f(x^2) = f(x)^2, so fiber sizes are constant on the Frobenius
-orbits x -> x^2: it evaluates f once per orbit, about 2^n/n points, and
-counts points per value orbit in the FieldCtx.orbit_tables of the field,
-which are built once per context.  Otherwise it makes a single pass over the
-domain with early exit on the first fiber of size 3; the domain is walked
-multiplicatively (x = g^i) so each sparse term advances by one fixed
-multiplication per point.  The domain walk steps each term with the two
-split tables of FieldCtx.split_table, about 2^(n/2) entries each, so a scan
-that exits after a few points builds little.  One kernel, fibers_two_to_one,
-counts the fibers of a value list plus one coefficient stream u*s^i for the
-verifier (whose stream is zero), the o-polynomial test and every search.
+(3, 1, 2, ..., 2) also reach 2^(n-1) values).  The verifier has two paths,
+each with an early-exit kernel that the searches share.  When every
+coefficient of f is 1 and n <= 17, f(x^2) = f(x)^2, so fiber sizes are
+constant on the Frobenius orbits x -> x^2, and orbits_two_to_one decides f
+from one point per orbit (about 2^n/n points), counted per value orbit by
+the FieldCtx.orbit_tables of the field; the quadrinomial search calls it too.
+Otherwise fibers_two_to_one makes one pass over the domain, walked
+multiplicatively (x = g^i) with the split tables of FieldCtx.split_table, so
+each term advances by one lookup pair per point, and exits on the first fiber
+of size 3; it takes one coefficient stream u*s^i beside the values, which the
+o-polynomial test and the other searches use.
 """
 
 from __future__ import annotations
@@ -46,9 +44,9 @@ OPOLY_MAX_N = 16
 __all__ = [
     "PreimageHistogram",
     "preimage_histogram",
-    "value_table",
     "is_two_to_one",
     "fibers_two_to_one",
+    "orbits_two_to_one",
     "is_o_polynomial",
     "o_orbit",
     "square_map",
@@ -94,10 +92,9 @@ def fibers_two_to_one(order: int, f0: int, base, u: int, t) -> bool:
     fill only fibers of size 0 or 2.
 
     t is the mul_table step table of the one coefficient stream (t[u] = s*u);
-    (0, (0,)) is the zero stream.  The searches and the o-polynomial test pass
-    a stream here; the verifier passes its whole split-table _walk as base
-    with the zero stream.  Returns at the first fiber of size 3, so a lazy
-    base is consumed only that far.
+    the verifier passes its split-table _walk as base with the zero stream
+    (0, (0,)).  Returns at the first fiber of size 3, so a lazy base is
+    consumed only that far.
     """
     counts = bytearray(order)
     counts[f0] = 1
@@ -149,60 +146,58 @@ def _walk(order: int, const: int, streams: list):
         u1 = lo1[u1 & m] ^ hi1[u1 >> h]
 
 
-def value_table(f: SparsePoly) -> list[int]:
-    """V with V[x] = f(x) for every field element x."""
-    ctx = f.ctx
-    const, streams = _streams(f)
-    V = [const] * ctx.order  # V[0] = f(0); every other entry is overwritten
-    xs = _walk(ctx.order, 0, [(1, *ctx.split_table(ctx.generator))])
-    for x, v in zip(xs, _walk(ctx.order, const, streams)):
-        V[x] = v
-    return V
-
-
 def preimage_histogram(f: SparsePoly) -> PreimageHistogram:
     """Exact fiber sizes by one pass over the domain (n <= 24)."""
-    return PreimageHistogram(f.ctx.n, dict(Counter(value_table(f))))
+    const, streams = _streams(f)
+    counts = Counter((const,))
+    counts.update(_walk(f.ctx.order, const, streams))
+    return PreimageHistogram(f.ctx.n, dict(counts))
 
 
 def is_two_to_one(f: SparsePoly) -> bool:
     """Whether every fiber of f has size 0 or 2, with early exit.
 
-    When every reduced coefficient of f is 1 and the context keeps orbit
-    tables (n <= 17), one point per Frobenius orbit decides it
-    (_orbits_two_to_one); otherwise fibers_two_to_one walks the whole domain
-    and exits on the first fiber of size 3.
+    When every reduced coefficient of f is 1 and n <= 17, orbits_two_to_one
+    decides it from one point per Frobenius orbit, evaluated lazily;
+    otherwise fibers_two_to_one walks the whole domain.
     """
     terms = reduce_exponents(f).terms
     tables = f.ctx.orbit_tables() if all(c == 1 for _, c in terms) else None
     if tables is not None:
-        return _orbits_two_to_one(terms, *tables)
+        antilog, key, leaders, sizes = tables
+        return orbits_two_to_one(_leader_values(terms, antilog, leaders), key, sizes)
     const, streams = _streams(f)
     walk = _walk(f.ctx.order, const, streams)
     return fibers_two_to_one(f.ctx.order, const, walk, 0, (0,))
 
 
-def _orbits_two_to_one(terms, antilog, key, leaders, sizes) -> bool:
-    """is_two_to_one for reduced terms whose coefficients are all 1, from the
-    FieldCtx.orbit_tables of the field.
-
-    Then f(x^2) = f(x)^2, so f maps the orbit of x onto the orbit V of f(x),
-    and every element of V has the same fiber size c.  The orbits mapped into
-    V hold c*|V| points, so f is 2-to-1 exactly when every value orbit V
-    collects 0 or 2*|V| of them.  f is evaluated at x = 0 (the orbit {0}) and
-    at g^L for each orbit leader L; it returns as soon as a count passes 2*|V|.
-    """
+def _leader_values(terms, antilog, leaders):
+    """Yield f(0), then f(g^L) at each orbit leader L; every coefficient is 1."""
     N = len(antilog)
     exps = [e for e, _ in terms if e]
     const = len(terms) - len(exps)  # f(0): 1 exactly when x^0 is a term
-    counts = [0] * len(sizes)
-    counts[key[const]] = 1  # the point x = 0
-    for k, L in enumerate(leaders, 1):
+    yield const
+    for L in leaders:
         v = const
         for e in exps:
             v ^= antilog[L * e % N]
+        yield v
+
+
+def orbits_two_to_one(values, key, sizes) -> bool:
+    """The orbit kernel: whether f with f(x^2) = f(x)^2 is 2-to-1, from
+    values[0] = f(0) and values[k] = f(g^L), L the leader of orbit k, with key
+    and sizes from FieldCtx.orbit_tables.
+
+    f maps the orbit of x onto the orbit V of f(x), and every point of V has
+    the same fiber size c, so the orbits mapped into V hold c*|V| points.  f
+    is 2-to-1 exactly when every V collects 0 or 2*|V|; returns as soon as a
+    count passes 2*|V|, so a lazy values is read only that far.
+    """
+    counts = [0] * len(sizes)
+    for v, s in zip(values, sizes):
         V = key[v]
-        c = counts[V] + sizes[k]
+        c = counts[V] + s
         if c > 2 * sizes[V]:
             return False
         counts[V] = c

@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 from gf2to1 import search
-from gf2to1.field import make_field
+from gf2to1.field import FieldCtx, make_field
 from gf2to1.poly import SparsePoly
 from gf2to1.tabledata import table1, table2, table3
 from gf2to1.search import (
@@ -24,7 +24,7 @@ from gf2to1.search import (
     search_degree5,
     search_sparse,
 )
-from gf2to1.two2one import is_two_to_one, qm_canonical, qm_shape_orbit, qm_transforms
+from gf2to1.two2one import fibers_two_to_one, is_two_to_one, qm_canonical, qm_shape_orbit, qm_transforms
 
 F8 = make_field(3)
 F16 = make_field(4)
@@ -391,6 +391,42 @@ SIEVE_CASES = [
 ]
 
 
+def whole_domain_quadrinomial_shard(args):
+    """The orbit-off oracle of search._shard for quadrinomials: x^k + x^l + x
+    as a value list over x = g^i, and x^d as the coefficient stream of the
+    whole-domain kernel, one fibers_two_to_one call per candidate."""
+    n, modulus, shape, dedupe, items = args
+    assert shape == "quadrinomial"
+    ctx = FieldCtx(n, modulus)
+    EXP = ctx.log_tables()[0]
+    tabs, powers = shard_tables(ctx)
+    hits, scanned = [], 0
+    for k in items:
+        for l in range(3, k):
+            KL = [a ^ b ^ c for a, b, c in zip(powers[k], powers[l], powers[1])]
+            for d in range(2, l):
+                scanned += 1
+                if fibers_two_to_one(ctx.order, 0, KL, 1, tabs[EXP[d]]):
+                    hits.append((((k, 1), (l, 1), (d, 1), (1, 1)), 1))
+    return hits, scanned, 0
+
+
+class TestOrbitScan:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n,dedupe",
+        [(n, d) for n in (3, 4, 5, 6) for d in ("qm", "none")] + [pytest.param(7, "qm", marks=pytest.mark.long)],
+    )
+    def test_reports_match_the_orbit_off_scan(self, n, dedupe, workers, monkeypatch):
+        ctx = make_field(n)
+        orbits = search_sparse(ctx, "quadrinomial", dedupe, long_run=True, workers=workers)
+        monkeypatch.setattr(search, "_shard", whole_domain_quadrinomial_shard)
+        plain = search_sparse(ctx, "quadrinomial", dedupe, long_run=True, workers=workers)
+        assert report_to_json(orbits, include_timing=False) == report_to_json(plain, include_timing=False)
+        assert orbits.candidates_scanned == plain.candidates_scanned
+        assert orbits.sieve_rejected == 0
+
+
 class TestFiberSieve:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_matches_literal_fiber_count(self, n):
@@ -439,9 +475,11 @@ class TestFiberSieve:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_one_kernel_call_per_quadrinomial(self, n, monkeypatch):
+        # the orbit kernel decides every candidate; the whole-domain kernel none
         ctx = make_field(n)
         scanned = search_sparse(ctx, "quadrinomial").candidates_scanned
-        assert kernel_calls(ctx, monkeypatch, "quadrinomial") == scanned
+        assert kernel_calls(ctx, monkeypatch, "quadrinomial", "orbits_two_to_one") == scanned
+        assert kernel_calls(ctx, monkeypatch, "quadrinomial") == 0
 
     def test_rejection_count_is_run_statistics(self):
         rep = search_sparse(F16, "trinomial", "qm")
@@ -511,16 +549,17 @@ class TestFrobeniusStep:
         assert (rep.candidates_scanned, rep.sieve_rejected) == counts
 
 
-def kernel_calls(ctx, monkeypatch, shape):
-    """The fiber kernel calls of a qm search of shape at one worker."""
+def kernel_calls(ctx, monkeypatch, shape, name="fibers_two_to_one"):
+    """The calls a qm search of shape at one worker makes to the kernel that
+    search imports as name."""
     spy = Counter()
-    kernel = search.fibers_two_to_one
+    kernel = getattr(search, name)
 
     def counting(*args):
         spy["calls"] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(search, "fibers_two_to_one", counting)
+    monkeypatch.setattr(search, name, counting)
     search_sparse(ctx, shape)
     return spy["calls"]
 

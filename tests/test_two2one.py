@@ -29,6 +29,7 @@ from gf2to1.two2one import (
     is_two_to_one,
     make_family,
     o_orbit,
+    orbits_two_to_one,
     point_count_curve,
     point_count_lower_bound,
     preimage_histogram,
@@ -37,7 +38,6 @@ from gf2to1.two2one import (
     qm_transforms,
     qm_unit_transforms,
     square_map,
-    value_table,
     verify_resultant_identity,
     _elimination_pair,
 )
@@ -92,7 +92,7 @@ def shift_criterion(f):
     literally different pass, so it cross-checks the fiber kernel.
     """
     ctx = f.ctx
-    V = value_table(f)
+    V = [f.eval(x) for x in ctx.elements()]
     for a in ctx.elements():
         va = V[a]
         cnt = 0
@@ -160,11 +160,9 @@ class TestHistogram:
             h = preimage_histogram(SparsePoly.make(F16, terms))
             assert sum(h.counts.values()) == F16.order
 
-    def test_value_table_matches_eval(self):
+    def test_histogram_matches_eval(self):
         f = sp(F16, (9, 7), (3, 2), (0, 1))
-        V = value_table(f)
-        for x in F16.elements():
-            assert V[x] == f.eval(x)
+        assert preimage_histogram(f).counts == Counter(f.eval(x) for x in F16.elements())
 
     def test_budget(self):
         big = make_field(25)
@@ -188,15 +186,14 @@ class TestHistogram:
     )
     def test_scans_match_literal_eval_above_log_cap(self, n, terms, verdict):
         """Above LOG_TABLE_MAX_N every stream is stepped by split_table halves;
-        the verdict, the value table and the histogram must match a literal
-        f.eval over the whole field."""
+        the verdict and the histogram must match a literal f.eval over the
+        whole field."""
         assert n > LOG_TABLE_MAX_N
         f = sp(make_field(n), *terms)
         V = [f.eval(x) for x in f.ctx.elements()]
         counts = Counter(V)
         assert all(c == 2 for c in counts.values()) == verdict
         assert is_two_to_one(f) == verdict
-        assert value_table(f) == V
         assert preimage_histogram(f).counts == counts
 
 
@@ -280,6 +277,50 @@ class TestFiberKernel:
                     break
             else:
                 assert len(read) == N
+        assert verdicts[True] and verdicts[False]
+
+
+class TestOrbitKernel:
+    """orbits_two_to_one fed f(0) and f at each orbit leader by f.eval, for
+    polynomials with GF(2) coefficients, against a literal Counter of f.eval
+    over the whole field."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_matches_literal_fiber_count(self, n):
+        ctx = make_field(n)
+        rng = random.Random(n)
+        N = ctx.order - 1
+        antilog, key, leaders, sizes = ctx.orbit_tables()
+        units = [e for e in range(1, N) if math.gcd(e, N) == 1]
+        cases = []
+        for _ in range(8):
+            # (x^2 + x)^e for a unit e is 2-to-1, with f(0) = 0 and, plus 1,
+            # f(0) = 1; by Lucas' theorem its terms are x^(e + j), j a submask
+            # of e.  x^e is a permutation, so no orbit overfills; a random
+            # polynomial mostly overfills one early.
+            e = rng.choice(units)
+            two = [(e + j, 1) for j in range(e + 1) if j & e == j]
+            cases += [two, two + [(0, 1)], [(e, 1)]]
+            cases.append([(rng.randrange(N + 1), 1) for _ in range(rng.randrange(1, 5))])
+        verdicts = Counter()
+        for terms in cases:
+            f = SparsePoly.make(ctx, terms)
+            expected = all(c == 2 for c in Counter(map(f.eval, ctx.elements())).values())
+            values = [f.eval(0)] + [f.eval(antilog[L]) for L in leaders]
+            assert orbits_two_to_one(values, key, sizes) == expected, terms
+            verdicts[expected] += 1
+            # a lazy values is read up to the first orbit that overfills its value orbit
+            read = []
+            lazy = (read.append(v) or v for v in values)
+            assert orbits_two_to_one(lazy, key, sizes) == expected
+            counts = Counter()
+            for i, (v, s) in enumerate(zip(values, sizes), 1):
+                counts[key[v]] += s
+                if counts[key[v]] > 2 * sizes[key[v]]:
+                    assert len(read) == i, terms
+                    break
+            else:
+                assert len(read) == len(values)
         assert verdicts[True] and verdicts[False]
 
 
@@ -654,7 +695,8 @@ class TestEliminationIdentities:
         ctx = make_field(n)
         m1 = 1 << ((n + 1) // 2)
         for t in ELIMINATION_IDENTITIES:
-            V = value_table(make_family(f"quad_{t:02d}", ctx))
+            f = make_family(f"quad_{t:02d}", ctx)
+            V = [f.eval(x) for x in ctx.elements()]
             for a in range(2, ctx.order):
                 F, G, _ = _elimination_pair(t, ctx, a, ctx.pow(a, m1))
                 for x in ctx.elements():
