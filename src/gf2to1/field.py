@@ -163,13 +163,15 @@ class FieldCtx:
     they run the shift-and-xor loop.  The other operations go through them.
     Up to n = 17 it also keeps the Frobenius-orbit tables that orbit_tables()
     returns, which the verifier and the quadrinomial search read for
-    polynomials with coefficients in GF(2).  The tables and the trace mask
-    are built on first use, so a context that is only built, compared or
-    labelled costs what it did without them; they are not part of the
-    field's identity.
+    polynomials with coefficients in GF(2).  The tables, the trace mask and
+    the Artin-Schreier split pair are built on first use, so a context that
+    is only built, compared or labelled costs what it did without them; they
+    are not part of the field's identity.
     """
 
-    __slots__ = ("n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_orbits", "_tmask")
+    __slots__ = (
+        "n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_orbits", "_tmask", "_as_split"
+    )
 
     def __init__(self, n: int, modulus: int):
         if not MIN_DEGREE <= n <= MAX_DEGREE:
@@ -186,7 +188,7 @@ class FieldCtx:
         self.generator = self._find_generator()
         # Built on first use by _tables(), not by a __getattr__ hook: on CPython
         # 3.11 a class with __getattr__ makes every attribute read several times slower.
-        self._exp = self._log = self._orbits = None
+        self._exp = self._log = self._orbits = self._as_split = None
         self._tmask = 0  # built by _trace_mask() on first use; never 0 once built
 
     def _find_generator(self) -> int:
@@ -341,6 +343,29 @@ class FieldCtx:
         """The lowest basis element 2^b of trace 1: the lowest set bit of the mask."""
         mask = self._tmask or self._trace_mask()
         return mask & -mask
+
+    def artin_schreier_split(self) -> tuple[list[int], list[int]]:
+        """(lo, hi) with z = lo[c & m] ^ hi[c >> h] solving z^2 + z = c for
+        every c of trace 0, h and m as in split_table; built on first use.
+
+        z is the trace-dual sum of theta_i c^(2^i) over i = 1..n-1, theta_i =
+        delta + delta^2 + ... + delta^(2^(i-1)), delta = trace_one.  The sum
+        is GF(2)-linear in c, so its n basis images fix it; at odd n, delta =
+        1 and the sum is the half trace.  The lists are the context's own:
+        read, never write.
+        """
+        if self._as_split is None:
+            delta = self.trace_one
+            images = []
+            for b in range(self.n):
+                z, theta, t = 0, delta, 1 << b
+                for _ in range(self.n - 1):
+                    t = self.sqr(t)
+                    z ^= self.mul(theta, t)
+                    theta = self.sqr(theta) ^ delta
+                images.append(z)
+            self._as_split = _split_linear(images)
+        return self._as_split
 
     def frobenius(self, x: int, j: int) -> int:
         """x^(2^j)."""

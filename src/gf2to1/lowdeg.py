@@ -10,10 +10,12 @@ it checks anything.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import xor
 
-from .field import FieldCtx
+from .field import FieldCtx, linear_table
 from .poly import DensePoly
 
 ROOT_SCAN_MAX_N = 20
@@ -54,20 +56,14 @@ class FactorPattern(Enum):
 def solve_artin_schreier(ctx: FieldCtx, c: int) -> int:
     """One solution of z^2 + z = c; requires trace_abs(c) = 0.
 
-    The trace-dual sum of theta_i c^(2^i) over i = 1..n-1, theta_i = delta +
-    delta^2 + ... + delta^(2^(i-1)), with delta = ctx.trace_one, the lowest
-    basis element of trace 1.  At odd n, delta = 1 and theta_i alternates 1, 0,
-    so the sum runs over odd i; as trace(c) = 0 it equals the half trace.
+    z is the trace-dual sum of FieldCtx.artin_schreier_split, read as two
+    lookups: the sum is GF(2)-linear in c.
     """
     if ctx.trace_abs(c) != 0:
         raise ValueError("z^2 + z = c is unsolvable: trace(c) = 1")
-    delta = ctx.trace_one
-    z, theta, t = 0, delta, c
-    for _ in range(ctx.n - 1):
-        t = ctx.sqr(t)
-        z ^= ctx.mul(theta, t)
-        theta = ctx.sqr(theta) ^ delta
-    return z
+    lo, hi = ctx.artin_schreier_split()
+    h = (ctx.n + 1) >> 1
+    return lo[c & ((1 << h) - 1)] ^ hi[c >> h]
 
 
 def quadratic_solutions(ctx: FieldCtx, u: int, v: int) -> set[int]:
@@ -107,30 +103,37 @@ def cubic_has_unique_root(ctx: FieldCtx, a: int, b: int) -> bool:
 
 
 def _resolvent_scaled(ctx: FieldCtx, a1: int, roots) -> list[int]:
-    """r^2 / a1^2 over the sorted field roots r of the resolvent y^3 + a2 y + a1."""
+    """Trace masks of s = r^2 / a1^2 over the sorted field roots r of the
+    resolvent y^3 + a2 y + a1: bit b of the mask of s is trace(s * 2^b), so
+    trace(a0 * s) is the parity of a0 & mask."""
     scale = ctx.inv(ctx.sqr(a1))
-    return [ctx.mul(ctx.sqr(r), scale) for r in sorted(roots)]
+    masks = []
+    for r in sorted(roots):
+        s = ctx.mul(ctx.sqr(r), scale)
+        masks.append(sum(ctx.trace_abs(ctx.mul(s, 1 << b)) << b for b in range(ctx.n)))
+    return masks
 
 
-def _classify_quartic(ctx: FieldCtx, a0: int, scaled_roots: list[int]) -> FactorPattern:
-    """Case analysis from the resolvent data: scaled_roots are r_i^2 / a1^2
-    for the field roots r_i of the resolvent cubic, so w_i = a0 * scaled_roots[i].
+def _classify_quartic(a0: int, masks: list[int]) -> FactorPattern:
+    """Case analysis from the resolvent data: masks are the trace masks of
+    r_i^2 / a1^2 for the field roots r_i of the resolvent cubic, so the
+    trace of w_i = a0 r_i^2 / a1^2 is the parity of a0 & masks[i].
 
     When the resolvent splits, the three w_i sum to zero (the r_i themselves
     do), so either all traces vanish or exactly one does; the classification
     is labelling-invariant.
     """
-    traces = [ctx.trace_abs(ctx.mul(a0, sr)) for sr in scaled_roots]
-    if len(traces) == 3:
-        zeros = traces.count(0)
-        if zeros == 3:
-            return FactorPattern.Q1111
-        if zeros == 1:
-            return FactorPattern.Q22
-        raise AssertionError(f"impossible trace pattern {traces} for a split resolvent")
-    if len(traces) == 0:
+    if not masks:
         return FactorPattern.Q13
-    return FactorPattern.Q112 if traces[0] == 0 else FactorPattern.Q4
+    if len(masks) != 3:
+        return FactorPattern.Q4 if (a0 & masks[0]).bit_count() & 1 else FactorPattern.Q112
+    m0, m1, m2 = masks
+    ones = ((a0 & m0).bit_count() & 1) + ((a0 & m1).bit_count() & 1) + ((a0 & m2).bit_count() & 1)
+    if ones == 0:
+        return FactorPattern.Q1111
+    if ones == 2:
+        return FactorPattern.Q22
+    raise AssertionError(f"impossible trace pattern: {ones} of 3 traces are 1 for a split resolvent")
 
 
 def quartic_pattern(ctx: FieldCtx, a2: int, a1: int, a0: int) -> FactorPattern:
@@ -142,7 +145,7 @@ def quartic_pattern(ctx: FieldCtx, a2: int, a1: int, a0: int) -> FactorPattern:
     if a0 == 0 or a1 == 0:
         raise ValueError("quartic classification requires a0 != 0 and a1 != 0")
     f1 = DensePoly.make(ctx, (a1, a2, 0, 1))
-    return _classify_quartic(ctx, a0, _resolvent_scaled(ctx, a1, roots_by_scan(f1)))
+    return _classify_quartic(a0, _resolvent_scaled(ctx, a1, roots_by_scan(f1)))
 
 
 def roots_by_scan(f: DensePoly) -> set[int]:
@@ -180,27 +183,39 @@ def _check_input_cap(which: str, ctx: FieldCtx, inputs: int) -> None:
         )
 
 
-def _value_histogram(ctx: FieldCtx, values) -> list[int]:
-    hist = [0] * ctx.order
-    for v in values:
-        hist[v] += 1
-    return hist
+def _additive_values(ctx: FieldCtx, c1: int, c2: int, c4: int) -> list[int]:
+    """The values of x -> c4 x^4 + c2 x^2 + c1 x at x = 0 .. 2^n - 1: the map
+    is GF(2)-linear, so the list is the linear_table of its n basis images."""
+    images = []
+    for b in range(ctx.n):
+        x = 1 << b
+        x2 = ctx.sqr(x)
+        images.append(ctx.mul(c1, x) ^ ctx.mul(c2, x2) ^ ctx.mul(c4, ctx.sqr(x2)))
+    return linear_table(images)
+
+
+def _cubic_value_lists(ctx: FieldCtx):
+    """(a, values) for a = 0 .. 2^n - 1, values[x] = x^3 + ax; x^3 is tabled once."""
+    cube = [ctx.mul(ctx.sqr(x), x) for x in ctx.elements()]
+    for a in ctx.elements():
+        yield a, list(map(xor, cube, ctx.mul_table(a)))
 
 
 def lemma_quadratic_agreement(ctx: FieldCtx) -> AgreementReport:
-    """quadratic_solutions vs a grouped root scan, over every (u != 0, v)."""
+    """quadratic_solutions vs a grouped root scan, over every (u != 0, v);
+    the oracle is the value histogram of x^2 + ux."""
     _check_input_cap("quadratic", ctx, (ctx.order - 1) * ctx.order)
     mismatches = []
     checked = 0
     for u in ctx.nonzero():
-        hist = _value_histogram(ctx, (ctx.sqr(x) ^ ctx.mul(u, x) for x in ctx.elements()))
+        count = Counter(_additive_values(ctx, u, 1, 0)).get
         for v in ctx.elements():
-            checked += 1
             sols = quadratic_solutions(ctx, u, v)
-            if len(sols) != hist[v]:
+            if len(sols) != count(v, 0):
                 mismatches.append((u, v))
             elif sols and (max(sols) ^ min(sols)) != u:
                 mismatches.append((u, v))
+        checked += ctx.order
     return AgreementReport("quadratic", ctx.n, checked, tuple(mismatches))
 
 
@@ -210,15 +225,17 @@ def lemma_cubic_agreement(ctx: FieldCtx) -> AgreementReport:
     _check_input_cap("cubic", ctx, ctx.order * (ctx.order - 1))
     mismatches = []
     checked = 0
-    for a in ctx.elements():
-        hist = _value_histogram(
-            ctx, (ctx.mul(ctx.sqr(x), x) ^ ctx.mul(a, x) for x in ctx.elements())
-        )
+    for a, values in _cubic_value_lists(ctx):
+        count = Counter(values).get
         for b in ctx.nonzero():
-            checked += 1
-            if cubic_has_unique_root(ctx, a, b) != (hist[b] == 1):
+            if cubic_has_unique_root(ctx, a, b) != (count(b) == 1):
                 mismatches.append((a, b))
+        checked += ctx.order - 1
     return AgreementReport("cubic", ctx.n, checked, tuple(mismatches))
+
+
+# quartic pattern by the root count of x^4 + a2 x^2 + a1 x + a0; 0 roots is Q22 or Q4
+_PATTERN_BY_ROOTS = {4: FactorPattern.Q1111, 2: FactorPattern.Q112, 1: FactorPattern.Q13}
 
 
 def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
@@ -227,47 +244,31 @@ def lemma_quartic_agreement(ctx: FieldCtx) -> AgreementReport:
     Both sides are evaluated in grouped form per (a2, a1): the criterion runs
     quartic_pattern's own two steps, _resolvent_scaled once per a1 and
     _classify_quartic per a0, with the resolvent roots of every a1 read from
-    one pass over u per a2 (u^3 + a2 u grouped by value); the oracle takes
-    quartic root counts from the value histogram of x^4 + a2 x^2 + a1 x and
-    marks divisor-admitting a0 by the quadratic sweep v -> (u^2 + a2) v + v^2
-    over the resolvent roots u: x^2 + ux + v divides the quartic exactly when
-    u is one and the sweep takes a0 at v.
+    the values of u^3 + a2 u grouped per a2; the oracle takes quartic root
+    counts from the value histogram of x^4 + a2 x^2 + a1 x and marks
+    divisor-admitting a0 by the values of the quadratic sweep
+    v -> (u^2 + a2) v + v^2 over the resolvent roots u: x^2 + ux + v
+    divides the quartic exactly when u is one and the sweep takes a0 at v.
     """
     _check_input_cap("quartic", ctx, ctx.order * (ctx.order - 1) ** 2)
     mismatches = []
     checked = 0
-    for a2 in ctx.elements():
+    for a2, resolvent in _cubic_value_lists(ctx):
         roots_of: dict[int, list[int]] = {}
-        for u in ctx.elements():
-            roots_of.setdefault(ctx.mul(ctx.sqr(u), u) ^ ctx.mul(a2, u), []).append(u)
+        for u, value in enumerate(resolvent):
+            roots_of.setdefault(value, []).append(u)
         for a1 in ctx.nonzero():
-            hist = _value_histogram(
-                ctx,
-                (
-                    ctx.sqr(ctx.sqr(x)) ^ ctx.mul(a2, ctx.sqr(x)) ^ ctx.mul(a1, x)
-                    for x in ctx.elements()
-                ),
-            )
+            count = Counter(_additive_values(ctx, a1, a2, 1)).get
             roots = roots_of.get(a1, [])
-            scaled = _resolvent_scaled(ctx, a1, roots)
-            divisible = [False] * ctx.order
+            masks = _resolvent_scaled(ctx, a1, roots)
+            divisible = set()
             for u in roots:
-                w = ctx.sqr(u) ^ a2
-                for v in ctx.elements():
-                    divisible[ctx.mul(w, v) ^ ctx.sqr(v)] = True
+                divisible.update(_additive_values(ctx, ctx.sqr(u) ^ a2, 1, 0))
             for a0 in ctx.nonzero():
-                checked += 1
-                r = hist[a0]
-                if r == 4:
-                    oracle = FactorPattern.Q1111
-                elif r == 2:
-                    oracle = FactorPattern.Q112
-                elif r == 1:
-                    oracle = FactorPattern.Q13
-                elif divisible[a0]:
-                    oracle = FactorPattern.Q22
-                else:
-                    oracle = FactorPattern.Q4
-                if _classify_quartic(ctx, a0, scaled) is not oracle:
+                oracle = _PATTERN_BY_ROOTS.get(count(a0))
+                if oracle is None:
+                    oracle = FactorPattern.Q22 if a0 in divisible else FactorPattern.Q4
+                if _classify_quartic(a0, masks) is not oracle:
                     mismatches.append((a2, a1, a0))
+            checked += ctx.order - 1
     return AgreementReport("quartic", ctx.n, checked, tuple(mismatches))

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gf2to1 import lowdeg
-from gf2to1.field import make_field
+from gf2to1.field import LOG_TABLE_MAX_N, FieldCtx, make_field
 from gf2to1.lowdeg import (
     FactorPattern,
     cubic_has_unique_root,
@@ -58,6 +59,145 @@ def quartic_pattern_scan(ctx, a2, a1, a0):
             if ctx.mul(ctx.sqr(u) ^ a2, v) ^ ctx.sqr(v) ^ a0 == 0:
                 return FactorPattern.Q22
     return FactorPattern.Q4
+
+
+# Slow per-element oracles for the engines' list and table forms: one field
+# method call per element, as the engines ran before they read whole lists.
+
+
+def value_histogram(ctx, values):
+    hist = [0] * ctx.order
+    for v in values:
+        hist[v] += 1
+    return hist
+
+
+def artin_schreier_loop(ctx, c):
+    """The trace-dual sum of theta_i c^(2^i), i = 1..n-1, in n - 1 steps."""
+    delta = ctx.trace_one
+    z, theta, t = 0, delta, c
+    for _ in range(ctx.n - 1):
+        t = ctx.sqr(t)
+        z ^= ctx.mul(theta, t)
+        theta = ctx.sqr(theta) ^ delta
+    return z
+
+
+def divisor_sweep(ctx, w):
+    """divisible[a] is whether v -> w v + v^2 takes a."""
+    divisible = [False] * ctx.order
+    for v in ctx.elements():
+        divisible[ctx.mul(w, v) ^ ctx.sqr(v)] = True
+    return divisible
+
+
+def classify_by_traces(ctx, a2, a1, a0):
+    """Factor pattern of x^4 + a2 x^2 + a1 x + a0 from trace_abs(a0 r^2 / a1^2)
+    over the resolvent roots r, one mul and one trace per root."""
+    roots = [r for r in ctx.elements() if ctx.mul(ctx.sqr(r), r) ^ ctx.mul(a2, r) == a1]
+    scale = ctx.inv(ctx.sqr(a1))
+    traces = [ctx.trace_abs(ctx.mul(a0, ctx.mul(ctx.sqr(r), scale))) for r in roots]
+    if len(traces) == 3:
+        return {3: FactorPattern.Q1111, 1: FactorPattern.Q22}[traces.count(0)]
+    if not traces:
+        return FactorPattern.Q13
+    return FactorPattern.Q112 if traces[0] == 0 else FactorPattern.Q4
+
+
+def check_split_solver(ctx, sample):
+    # the split-table solver against the loop on every c of the sample; a
+    # trace-1 c still raises
+    for c in sample:
+        if ctx.trace_abs(c) == 0:
+            z = solve_artin_schreier(ctx, c)
+            assert z == artin_schreier_loop(ctx, c), c
+            assert ctx.sqr(z) ^ z == c, c
+        else:
+            with pytest.raises(ValueError):
+                solve_artin_schreier(ctx, c)
+
+
+class TestListOracles:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_artin_schreier_split_equals_loop_exhaustive(self, n):
+        ctx = make_field(n)
+        check_split_solver(ctx, ctx.elements())
+
+    @pytest.mark.parametrize("n", range(LOG_TABLE_MAX_N + 1, 17))
+    def test_artin_schreier_split_equals_loop_above_log_table_cap(self, n):
+        ctx = make_field(n)
+        rng = random.Random(n)
+        check_split_solver(ctx, [rng.randrange(ctx.order) for _ in range(200)])
+
+    def test_artin_schreier_split_belongs_to_the_context(self):
+        # the default n = 8 field builds its table first; 0x11d must get its own
+        default, other = make_field(8), FieldCtx(8, 0x11D)
+        assert default.modulus != other.modulus
+        check_split_solver(default, default.elements())
+        check_split_solver(other, other.elements())
+        assert default.artin_schreier_split() != other.artin_schreier_split()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_quadratic_histograms(self, n):
+        ctx = make_field(n)
+        for u in ctx.elements():
+            count = Counter(lowdeg._additive_values(ctx, u, 1, 0)).get
+            slow = value_histogram(ctx, (ctx.sqr(x) ^ ctx.mul(u, x) for x in ctx.elements()))
+            assert [count(v, 0) for v in ctx.elements()] == slow, u
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cubic_histograms(self, n):
+        ctx = make_field(n)
+        seen = []
+        for a, values in lowdeg._cubic_value_lists(ctx):
+            seen.append(a)
+            count = Counter(values).get
+            slow = value_histogram(
+                ctx, (ctx.mul(ctx.sqr(x), x) ^ ctx.mul(a, x) for x in ctx.elements())
+            )
+            assert [count(v, 0) for v in ctx.elements()] == slow, a
+        assert seen == list(ctx.elements())
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_quartic_histograms(self, n):
+        # every (a2, a1) up to n = 6; above, every a2 against a seeded sample
+        # of a1 and every a1 against a seeded sample of a2
+        ctx = make_field(n)
+        if n <= 6:
+            pairs = [(a2, a1) for a2 in ctx.elements() for a1 in ctx.elements()]
+        else:
+            rng = random.Random(n)
+            pairs = [(c, rng.randrange(ctx.order)) for c in ctx.elements()]
+            pairs += [(rng.randrange(ctx.order), c) for c in ctx.elements()]
+        for a2, a1 in pairs:
+            count = Counter(lowdeg._additive_values(ctx, a1, a2, 1)).get
+            slow = value_histogram(
+                ctx,
+                (
+                    ctx.sqr(ctx.sqr(x)) ^ ctx.mul(a2, ctx.sqr(x)) ^ ctx.mul(a1, x)
+                    for x in ctx.elements()
+                ),
+            )
+            assert [count(v, 0) for v in ctx.elements()] == slow, (a2, a1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_divisor_sweep(self, n):
+        ctx = make_field(n)
+        for w in ctx.elements():
+            slow = {v for v, hit in enumerate(divisor_sweep(ctx, w)) if hit}
+            assert set(lowdeg._additive_values(ctx, w, 1, 0)) == slow, w
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_trace_masks_classify_as_mul_and_trace(self, n):
+        ctx = make_field(n)
+        for a2 in ctx.elements():
+            for a1 in ctx.nonzero():
+                roots = [r for r in ctx.elements() if ctx.mul(ctx.sqr(r), r) ^ ctx.mul(a2, r) == a1]
+                masks = lowdeg._resolvent_scaled(ctx, a1, roots)
+                for a0 in ctx.nonzero():
+                    assert lowdeg._classify_quartic(a0, masks) is classify_by_traces(
+                        ctx, a2, a1, a0
+                    ), (a2, a1, a0)
 
 
 class TestQuadratic:
@@ -243,3 +383,26 @@ class TestAgreementEngines:
         )
         assert wrong
         assert lemma_quartic_agreement(F16).mismatches == wrong
+
+    def test_quadratic_engine_reports_a_planted_criterion_fault(self, monkeypatch):
+        # the engine must run quadratic_solutions itself; a root set of size 1
+        # is wrong for every (u, v), so the fault is reported there alone
+        real = lowdeg.quadratic_solutions
+        bad = (3, 5)
+        monkeypatch.setattr(
+            lowdeg, "quadratic_solutions", lambda ctx, u, v: {0} if (u, v) == bad else real(ctx, u, v)
+        )
+        assert lemma_quadratic_agreement(F16).mismatches == (bad,)
+
+    def test_artin_schreier_table_fault_fails_solver_check_and_engine(self):
+        # one wrong basis image in a fresh context's split table: the image of
+        # 2^1 is off by 2, so z^2 + z misses c by 4 ^ 2 wherever bit 1 of c is set
+        ctx = make_field(6)
+        lo, _ = ctx.artin_schreier_split()
+        for i in range(len(lo)):
+            if i & 2:
+                lo[i] ^= 2
+        with pytest.raises(AssertionError):
+            check_split_solver(ctx, ctx.elements())
+        with pytest.raises(AssertionError, match="non-root"):
+            lemma_quadratic_agreement(ctx)
