@@ -23,7 +23,6 @@ import os
 import re
 import sys
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
 
 from .field import FieldCtx, fmt_elem, make_field, parse_elem, read_int
 from .lowdeg import (
@@ -298,6 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _broken_pool() -> tuple:
+    """The class a dead search worker raises, read when an exception reaches
+    main's handler: the pool module loads only with the first pool, and
+    without it no worker can have died."""
+    process = sys.modules.get("concurrent.futures.process")
+    return (process.BrokenProcessPool,) if process else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -309,7 +316,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _diag(f"error: {exc}")
         return EXIT_USAGE
-    except BrokenProcessPool as exc:
+    except _broken_pool() as exc:
         _diag(f"error: a search worker process died: {exc}")
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -54,13 +54,16 @@ class FactorPattern(Enum):
 
 
 def solve_artin_schreier(ctx: FieldCtx, c: int) -> int:
-    """One solution of z^2 + z = c; requires trace_abs(c) = 0.
-
-    z is the trace-dual sum of FieldCtx.artin_schreier_split, read as two
-    lookups: the sum is GF(2)-linear in c.
-    """
+    """One solution of z^2 + z = c; requires trace_abs(c) = 0."""
     if ctx.trace_abs(c) != 0:
         raise ValueError("z^2 + z = c is unsolvable: trace(c) = 1")
+    return _artin_schreier_root(ctx, c)
+
+
+def _artin_schreier_root(ctx: FieldCtx, c: int) -> int:
+    """z with z^2 + z = c for a c of trace 0, unchecked: the trace-dual sum
+    of FieldCtx.artin_schreier_split, read as two lookups, since the sum is
+    GF(2)-linear in c."""
     lo, hi = ctx.artin_schreier_split()
     h = (ctx.n + 1) >> 1
     return lo[c & ((1 << h) - 1)] ^ hi[c >> h]
@@ -77,7 +80,7 @@ def quadratic_solutions(ctx: FieldCtx, u: int, v: int) -> set[int]:
     c = ctx.mul(v, ctx.inv(ctx.sqr(u)))
     if ctx.trace_abs(c) == 1:
         return set()
-    z = solve_artin_schreier(ctx, c)
+    z = _artin_schreier_root(ctx, c)
     s = ctx.mul(u, z)
     roots = {s, s ^ u}
     for r in roots:

@@ -11,7 +11,8 @@ Candidates are verified by the early-exit kernels of two2one.  Shard i of W
 scans every W-th item from the i-th on; the cost of an item grows with k, so
 the strides carry about equal work.  Shard 0 runs in the calling process and
 the others in a pool of W - 1 worker processes, opened per search or shared
-by a run of searches (worker_pool).
+by a run of searches (worker_pool).  The process-pool modules are imported
+when the first pool opens, so a single-process run never loads them.
 Partial hit lists are merged and globally sorted, so a report is
 byte-identical for any worker count.  Every shape is capped at
 n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the long-run flag.
@@ -59,10 +60,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import multiprocessing as mp
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter, xor
@@ -159,6 +158,12 @@ def _binomial_is_linearized_class(k: int, l: int, N: int) -> bool:
 # worker internals
 
 
+def _rescaling_u(N: int, k: int, l: int, dedupe: str) -> int:
+    """u of _rescaling_reps alone, for the binomial scan, which reads no
+    more: N, or gcd(l - k, N) with qm."""
+    return math.gcd((l - k) % N, N) if dedupe == "qm" else N
+
+
 def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
     """(u, w, rep) for x^k + beta*x^l + alpha*x: the scan takes beta = g^B
     and alpha = g^A for every B below u and A below w, and rep(B, A), for any
@@ -174,11 +179,11 @@ def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
     w = gcd((N/u)*q, N).  rep translates by the j with B + j*p = B mod u
     (mod N) and reduces A mod w.
     """
+    u = _rescaling_u(N, k, l, dedupe)
     if dedupe != "qm":
-        return N, N, lambda B, A: (B % N, A % N)
+        return u, N, lambda B, A: (B % N, A % N)
     p = (l - k) % N
     q = (1 - k) % N
-    u = math.gcd(p, N)
     w = math.gcd((N // u) * q, N)
     r = pow(p // u, -1, N // u)
 
@@ -342,7 +347,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
             for l in range(1, k):
                 if _binomial_is_linearized_class(k, l, N):
                     continue  # the linearized class is set aside
-                u = _rescaling_reps(N, k, l, dedupe)[0]
+                u = _rescaling_u(N, k, l, dedupe)
                 TL = tabs[EXP[l]]
                 for alpha in EXP[:u]:
                     scanned += 1
@@ -405,9 +410,18 @@ def _strides(items, workers: int) -> list:
 
 
 def _pool(size: int):
-    """A pool of size forked worker processes, or a null context for none."""
-    if size < 1:
-        return contextlib.nullcontext()
+    """A pool of size forked worker processes, or a null context for none.
+    The pool modules, multiprocessing and concurrent.futures, load with the
+    first pool, so a process that opens none never loads them."""
+    return _process_pool(size) if size >= 1 else contextlib.nullcontext()
+
+
+def _process_pool(size: int):
+    """A ProcessPoolExecutor of size >= 1 forked workers, the one place that
+    imports the pool modules."""
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         ctx = mp.get_context("fork")
     except ValueError:

@@ -237,7 +237,7 @@ class TestTables:
         pools, submitted = [], []
 
         class InlinePool:  # records its size and each shard it gets, starts no process
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -253,7 +253,7 @@ class TestTables:
                 return done
 
         _, plain, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "1", "--format", "json")
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(search, "_process_pool", InlinePool)
         code, out, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "3", "--format", "json")
         assert code == 0 and out == plain
         assert pools == [2]  # one pool; each search's first shard runs in the calling process
@@ -584,3 +584,39 @@ class TestStrictNumbers:
         code, out, err = run(capsys, *(a.format(token) for a in argv))
         assert (code, out) == (2, "")
         assert f"invalid integer {token!r}" in err
+
+
+class TestImportBudget:
+    """A process that opens no worker pool never loads the pool modules:
+    search imports them when its first pool opens."""
+
+    PROBE = (
+        "import sys; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules], file=sys.stderr)"
+    )
+
+    @pytest.mark.parametrize(
+        "statement,loaded",
+        [
+            ("import gf2to1", []),
+            ("import gf2to1.cli", []),
+            ("from gf2to1.cli import main; main(['lemma', '--which', '2.4', '--n', '3'])", []),
+            ("from gf2to1.cli import main; main(['tables', '--which', 'I', '--workers', '1'])", []),
+            # the probe sees the modules once a pool has opened
+            (
+                "from gf2to1.cli import main; main(['tables', '--which', 'II', '--n-max', '4', '--workers', '2'])",
+                ["multiprocessing", "concurrent.futures"],
+            ),
+        ],
+        ids=["package", "cli", "lemma", "tables-1-worker", "tables-2-workers"],
+    )
+    def test_pool_modules_load_with_the_first_pool(self, statement, loaded):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{statement}\n{self.PROBE}"],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == repr(loaded)

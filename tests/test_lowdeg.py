@@ -216,6 +216,16 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="sqrt"):
             quadratic_solutions(F8, 0, 5)
 
+    def test_one_trace_per_input(self, monkeypatch):
+        # the solvability check is the only trace read: the root comes from
+        # the split table without solve_artin_schreier's own check
+        calls = []
+        real = FieldCtx.trace_abs
+        monkeypatch.setattr(FieldCtx, "trace_abs", lambda self, x: calls.append(x) or real(self, x))
+        for v in F16.elements():
+            quadratic_solutions(F16, 3, v)
+        assert len(calls) == F16.order
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_artin_schreier_even_n_exhaustive(self, n):
         ctx = make_field(n)

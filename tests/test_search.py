@@ -319,7 +319,7 @@ class TestDeterminism:
         sizes = []
 
         class InlinePool:  # records the pool size and starts no process
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -333,7 +333,7 @@ class TestDeterminism:
                 done.set_result(fn(args))
                 return done
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(search, "_process_pool", InlinePool)
         a = search_sparse(F8, "binomial", workers=64)
         b = search_degree5(F8, workers=64)
         # exponents 3..6 and a3 in GF(8), the first shard in the calling process
