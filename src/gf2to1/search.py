@@ -27,6 +27,12 @@ The fiber sieve runs that pass at x0 = 0, 1 and g, and only the alphas that
 survive all three go to the fiber kernel; a rejected alpha cannot be a hit, so
 the reports are those of the kernel alone.  Every candidate still counts as
 scanned, and the report's sieve_rejected says how many the sieve decided.
+At x0 = 0 a trinomial's pass reads D(y) = y^(k-1) + beta*y^(l-1) over
+y != 0, and y -> y^t permutes those y for a unit t mod N, so D takes each
+value as often at (k-1, l-1) as at ((k-1)*t, (l-1)*t) mod N.  A shard's
+sieve decides that stage once per class of (k - 1, l - 1), beta and the
+scanned alphas, with t the inverse of k - 1 if it is a unit, else of l - 1
+if that is, else 1 (_zero_class).
 Trinomial survivors then go to the kernel one Frobenius orbit at a time:
 f^sigma = sq o f o sqrt is x^k + beta^2*x^l + alpha^2*x, 2-to-1 exactly when
 f is, so an orbit with a rejected member holds no hit, and one kernel call
@@ -61,9 +67,7 @@ import contextlib
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
 from operator import itemgetter, xor
 
 from .field import FieldCtx, field_from_label, fmt_elem, parse_elem
@@ -249,10 +253,29 @@ def _relabel(N: int, k: int, l: int, e: int, dedupe: str):
     return k2, l2, image
 
 
+def _zero_class(N: int, k: int, l: int) -> tuple[int, int]:
+    """The exponents ((k - 1)*t, (l - 1)*t) mod N that name the x0 = 0 stage
+    of the fiber sieve for x^k + beta*x^l + alpha*x, where t = (k - 1)^(-1)
+    when k - 1 is a unit mod N, else (l - 1)^(-1) when l - 1 is, else 1.
+
+    At x0 = 0 the quotient is D(y) = y^(k-1) + beta*y^(l-1) over y != 0, and
+    for a unit t, y -> y^t permutes the nonzero elements, so D takes each
+    value as often as y^((k-1)*t) + beta*y^((l-1)*t) does: exponents act
+    mod N on y != 0.  Pairs with one class therefore keep the same alphas
+    at x0 = 0 for each beta."""
+    for e in (k - 1, l - 1):
+        if math.gcd(e, N) == 1:
+            t = pow(e, -1, N)
+            break
+    else:
+        t = 1
+    return (k - 1) * t % N, (l - 1) * t % N
+
+
 def _fiber_sieve(ctx: FieldCtx, tabs, powers):
-    """sieve(terms, alphas): the alphas for which h + alpha*x, h the sum of
-    c*x^e over the (e, c) in terms, 0 < e < 2^n, has a fiber of exactly two
-    points through each of x0 = 0, g^0 and g^1.
+    """sieve(terms, alphas, key=None): the alphas for which h + alpha*x, h the
+    sum of c*x^e over the (e, c) in terms, 0 < e < 2^n, has a fiber of exactly
+    two points through each of x0 = 0, g^0 and g^1, in the order of alphas.
 
     y != x0 lies in the fiber of x0 exactly when D(y) = (h(y) + h(x0))/(y + x0)
     equals alpha, so the fiber has two points exactly when D takes the value
@@ -263,9 +286,15 @@ def _fiber_sieve(ctx: FieldCtx, tabs, powers):
     recursion from the shard's tables (tabs[c] multiplies by c, powers[m]
     holds y^m at y = g^i) with one bytes.translate and one xor per step; the
     slot of y = x0 holds the value at y = 0, where y^(e-1) reads 0^(e-1).  A
-    sieve call is then one translate by tabs[c], padded to 256 bytes, per
-    term, an xor of big ints and one Counter per x0.  Field elements must fit
-    in a byte, so n <= 8; raises ValueError above.
+    stage is then one translate by tabs[c], padded to 256 bytes, per term,
+    an xor of big ints, and the alphas whose byte D's string counts once.
+
+    key names the class of the x0 = 0 stage: calls that pass one key must
+    have the same survivors there, as the trinomial keys (*_zero_class(N,
+    k, l), B, w) of beta = g^B and alphas = g^0 .. g^(w-1) do.  The sieve
+    decides that stage once per key and keeps its survivors for its own
+    life; a call without a key stores nothing.  Field elements must fit in a
+    byte, so n <= 8; raises ValueError above.
     """
     order = ctx.order
     if order > 256:
@@ -284,17 +313,27 @@ def _fiber_sieve(ctx: FieldCtx, tabs, powers):
             q = v.to_bytes(N, "little")
             Q.append(q)
         strings.append(Q)
-    once = (1).__eq__
+    zero_strings, *rest = strings
+    zero = {}  # key -> the survivors of the x0 = 0 stage
 
-    def sieve(terms, alphas):
-        for Q in strings:
-            D = 0
-            for e, c in terms:
-                D ^= int.from_bytes(Q[e].translate(MUL[c]), "little")
-            counts = Counter(D.to_bytes(N, "little")).get
-            alphas = list(compress(alphas, map(once, map(counts, alphas, repeat(0)))))
+    def stage(Q, terms, alphas):
+        D = 0
+        for e, c in terms:
+            D ^= int.from_bytes(Q[e].translate(MUL[c]), "little")
+        count = D.to_bytes(N, "little").count
+        return [a for a in alphas if count(a) == 1]
+
+    def sieve(terms, alphas, key=None):
+        if key is None:
+            alphas = stage(zero_strings, terms, alphas)
+        elif key in zero:
+            alphas = zero[key]
+        else:
+            alphas = zero[key] = stage(zero_strings, terms, alphas)
+        for Q in rest:
             if not alphas:
                 break
+            alphas = stage(Q, terms, alphas)
         return alphas
 
     return sieve
@@ -311,12 +350,12 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     list of a degree-5 or trinomial h is built only for the sieve's
     survivors; quadrinomials cut at[e], x^e at 0 and at the orbit leaders,
     from powers.  The trinomial scan sieves every candidate of an orbit's
-    least pair (k, l), then walks the survivors under sigma, the map of their
-    logs (B, A) to the representative of (beta^2, alpha^2), which permutes
-    the representatives with sigma^n the identity: a sigma-orbit with a
-    rejected member holds no hit, so the walk stops there, and one kernel
-    call decides an orbit that survived whole.  _relabel maps the hits to
-    every member of the orbit."""
+    least pair (k, l), keying the x0 = 0 stage by _zero_class, then walks
+    the survivors under sigma, the map of their logs (B, A) to the
+    representative of (beta^2, alpha^2), which permutes the representatives
+    with sigma^n the identity: a sigma-orbit with a rejected member holds no
+    hit, so the walk stops there, and one kernel call decides an orbit that
+    survived whole.  _relabel maps the hits to every member of the orbit."""
     n, modulus, shape, dedupe, items = args
     ctx = FieldCtx(n, modulus)
     order = ctx.order
@@ -360,9 +399,10 @@ def _shard(args) -> tuple[list[tuple], int, int]:
             u, w, rescale = _rescaling_reps(N, k, l, dedupe)
             sigma = lambda B, A: rescale(2 * B, 2 * A)  # squaring commutes with rescaling
             alphas = EXP[:w]
+            zk, zl = _zero_class(N, k, l)
             survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
             for B in range(u):
-                alive = sieve(((k, 1), (l, EXP[B])), alphas)
+                alive = sieve(((k, 1), (l, EXP[B])), alphas, (zk, zl, B, w))
                 rejected += (w - len(alive)) * len(units)
                 survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
             scanned += u * w * len(units)  # every member has the u*w of (k, l)

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from concurrent.futures import Future
 from importlib import resources
+from operator import xor
 
 import pytest
 
@@ -231,7 +232,7 @@ class TestSparseSearches:
         # every candidate a hit, so the shard lists each representative it scans;
         # N = 15 is composite, so some orbits are short
         monkeypatch.setattr(search, "fibers_two_to_one", lambda *args: True)
-        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx, tabs, powers: lambda terms, alphas: alphas)
+        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx, tabs, powers: lambda terms, alphas, key=None: alphas)
         ctx = F16
         N = ctx.order - 1
         hits, scanned, _ = search._shard((4, ctx.modulus, shape, "qm", OUTER[shape](ctx.order)))
@@ -457,7 +458,7 @@ class TestFiberSieve:
     def test_reports_match_the_kernel_only_scan(self, shape, dedupe, n, workers, monkeypatch):
         ctx = make_field(n)
         sieved = search_sparse(ctx, shape, dedupe, workers=workers)
-        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx, tabs, powers: lambda terms, alphas: alphas)
+        monkeypatch.setattr(search, "_fiber_sieve", lambda ctx, tabs, powers: lambda terms, alphas, key=None: alphas)
         plain = search_sparse(ctx, shape, dedupe, workers=workers)
         assert report_to_json(sieved, include_timing=False) == report_to_json(plain, include_timing=False)
         assert sieved.candidates_scanned == plain.candidates_scanned
@@ -488,6 +489,79 @@ class TestFiberSieve:
         assert report_from_json(report_to_json(rep)).sieve_rejected == rep.sieve_rejected
         assert "sieve_rejected" not in report_to_json(rep, include_timing=False)
         assert report_from_json(report_to_json(rep, include_timing=False)).sieve_rejected == 0
+
+
+def zero_quotients(ctx):
+    """e -> y^e over y = g^0 .. g^(N-1) by ctx.pow: the x0 = 0 quotient of
+    x^(e+1) is y^e, so these are the strings the sieve's x0 = 0 stage reads."""
+    N = ctx.order - 1
+    ys = [ctx.pow(ctx.generator, i) for i in range(N)]
+    return [[ctx.pow(y, e) for y in ys] for e in range(N)]
+
+
+def closure_cell(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+class TestZeroClass:
+    """The fiber sieve decides its x0 = 0 stage once per class key of the
+    trinomial scan; the oracles count the quotient strings afresh."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_pairs_of_one_class_share_their_quotient_counts(self, n):
+        # D = q_k + beta*q_l is a function of the pair (q_k, q_l) at each y, so
+        # equal multisets of the pairs, each packed as q_k*256 + q_l and
+        # compared sorted, give equal counts of D for every beta
+        ctx = make_field(n)
+        N = ctx.order - 1
+        q = zero_quotients(ctx)
+        high = [[v << 8 for v in s] for s in q]
+        pairs = [(k, l) for k, l, _ in search._trinomial_orbits(N)]
+        joint = {}
+        no_unit = 0
+        for k, l in pairs:
+            key = search._zero_class(N, k, l)
+            values = sorted(map(xor, high[k - 1], q[l - 1]))
+            assert joint.setdefault(key, values) == values, (k, l, key)
+            if math.gcd(k - 1, N) != 1 and math.gcd(l - 1, N) != 1:
+                assert key == (k - 1, l - 1)  # t = 1
+                no_unit += 1
+        assert len(joint) < len(pairs) or n == 3  # N = 7 has three pairs, each its own class
+        assert bool(no_unit) == (n in (4, 6, 8))  # N = 15, 63 and 255 are composite
+
+    @pytest.mark.parametrize(
+        "n,dedupe",
+        [(n, "qm") for n in (3, 4, 5, 6, 7)]
+        + [(n, "none") for n in (3, 4, 5)]
+        + [pytest.param(n, d, marks=pytest.mark.long) for n, d in ((6, "none"), (8, "qm"))],
+    )
+    def test_stored_survivors_equal_a_fresh_pass(self, n, dedupe, monkeypatch):
+        ctx = make_field(n)
+        N = ctx.order - 1
+        sieves, calls = [], []
+        make_sieve = search._fiber_sieve
+
+        def recording(ctx, tabs, powers):
+            sieve = make_sieve(ctx, tabs, powers)
+            sieves.append(sieve)
+
+            def record(terms, alphas, key=None):
+                calls.append((terms, alphas, key))
+                return sieve(terms, alphas, key)
+
+            return record
+
+        monkeypatch.setattr(search, "_fiber_sieve", recording)
+        search._shard((n, ctx.modulus, "trinomial", dedupe, search._trinomial_orbits(N)))
+        (sieve,) = sieves
+        stored = closure_cell(sieve, "zero")
+        assert all(key is not None for *_, key in calls)  # every trinomial call passes its key
+        assert stored.keys() == {key for *_, key in calls}
+        q = zero_quotients(ctx)
+        for ((k, _), (l, beta)), alphas, key in calls:
+            T = ctx.mul_table(beta)
+            counts = Counter(a ^ T[b] for a, b in zip(q[k - 1], q[l - 1]))
+            assert stored[key] == [a for a in alphas if counts[a] == 1], (k, l, beta, key)
 
 
 def trinomial_exponent_pairs(N):
