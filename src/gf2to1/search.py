@@ -2,9 +2,10 @@
 deterministic reporting and comparison against the bundled reference tables.
 
 One driver and one shard function serve the four templates in SHAPES, which
-declares each shape's shard items: every a3 for degree 5, the leading
-exponent k for binomials and quadrinomials, and for trinomials the
-unit-relabelling orbits of the exponent pairs (k, l) in template order.
+declares each shape's shard items, all ints: every a3 for degree 5, and the
+leading exponent k for the sparse shapes.  Trinomials take only the k that
+hold the least pair (k, l) of a unit-relabelling orbit, and each trinomial
+shard lists those least pairs for its own k values.
 Every shard builds one table set, read by every shape and by the fiber sieve:
 the multiply table of each field element and the power list of each exponent.
 Candidates are verified by the early-exit kernels of two2one.  Shard i of W
@@ -64,6 +65,7 @@ read them as they are.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import time
@@ -87,13 +89,14 @@ SEARCH_MAX_N = 6
 SEARCH_LONG_MAX_N = 7
 
 # shape -> its shard items, given N = 2^n - 1: a3 runs over the whole field;
-# the exponent k starts at 3 for binomials (k = 2 gives x^2 + alpha*x, always
-# in the linearized class) and at 4 for quadrinomials (k > l > d > 1); the
-# trinomial pairs (k > l > 1) come one unit-relabelling orbit at a time
+# the leading exponent k starts at 3 for binomials (k = 2 gives x^2 + alpha*x,
+# always in the linearized class) and trinomials (k > l > 1), and at 4 for
+# quadrinomials (k > l > d > 1); a trinomial k is dealt out only when it holds
+# the least pair of a unit-relabelling orbit, so every shard scans a candidate
 SHAPES = {
     "degree5": lambda N: range(N + 1),
     "binomial": lambda N: range(3, N),
-    "trinomial": lambda N: _trinomial_orbits(N),
+    "trinomial": lambda N: [k for k in range(3, N) if next(_trinomial_leaders(N, k), None)],
     "quadrinomial": lambda N: range(4, N),
 }
 
@@ -198,10 +201,16 @@ def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
     return u, w, rep
 
 
-def _trinomial_orbits(N: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The unit-relabelling orbits of the trinomial exponent pairs, as
-    (k, l, units) in template order: the orbit's least pair, and for each
-    member the unit e in {1, l, k} that _relabel turns into it.
+@functools.cache
+def _unit_inverses(N: int) -> list[int]:
+    """1/e mod N for each e below N, 0 where e is not a unit."""
+    return [pow(e, -1, N) if math.gcd(e, N) == 1 else 0 for e in range(N)]
+
+
+def _trinomial_leaders(N: int, k: int):
+    """(l, units) for each trinomial exponent pair (k, l) that is the least of
+    its unit-relabelling orbit, in template order: for each member of the
+    orbit, the unit e in {1, l, k} that _relabel turns into it.
 
     For a unit e in S = {k, l, 1}, x -> x^(1/e) sends S to S/e, which holds 1
     again; its other two exponents, as (k', l') with k' > l', are a template
@@ -209,29 +218,26 @@ def _trinomial_orbits(N: int) -> list[tuple[int, int, tuple[int, ...]]]:
     permutes the field, so it keeps 2-to-1-ness.  The members of S are its
     unit multiples that hold 1, the same set seen from any member, so each
     pair tests locally whether it is the least of its orbit, the one the
-    scan sieves."""
-    inv = [pow(e, -1, N) if math.gcd(e, N) == 1 else 0 for e in range(N)]
-    orbits = []
-    for k in range(3, N):
-        for l in range(2, k):
-            if _is_pow2(k) and _is_pow2(l):
-                continue  # linearized shapes are excluded from the template
-            members, units = [(k, l)], [1]
-            for e, s in ((l, k), (k, l)):  # S/e = {s/e, 1, 1/e}
-                v = inv[e]
-                if not v:
-                    continue
-                a = s * v % N
-                pair = (a, v) if a > v else (v, a)
-                if pair in members:
-                    continue
-                if pair < (k, l):
-                    break
-                members.append(pair)
-                units.append(e)
-            else:
-                orbits.append((k, l, tuple(units)))
-    return orbits
+    scan sieves, and each shard lists the pairs of its own k values."""
+    inv = _unit_inverses(N)
+    for l in range(2, k):
+        if _is_pow2(k) and _is_pow2(l):
+            continue  # linearized shapes are excluded from the template
+        members, units = [(k, l)], [1]
+        for e, s in ((l, k), (k, l)):  # S/e = {s/e, 1, 1/e}
+            v = inv[e]
+            if not v:
+                continue
+            a = s * v % N
+            pair = (a, v) if a > v else (v, a)
+            if pair in members:
+                continue
+            if pair < (k, l):
+                break
+            members.append(pair)
+            units.append(e)
+        else:
+            yield l, tuple(units)
 
 
 def _relabel(N: int, k: int, l: int, e: int, dedupe: str):
@@ -349,8 +355,9 @@ def _shard(args) -> tuple[list[tuple], int, int]:
     multiplies by c, and powers[e] holds x^e at x = g^i.  The kernel's value
     list of a degree-5 or trinomial h is built only for the sieve's
     survivors; quadrinomials cut at[e], x^e at 0 and at the orbit leaders,
-    from powers.  The trinomial scan sieves every candidate of an orbit's
-    least pair (k, l), keying the x0 = 0 stage by _zero_class, then walks
+    from powers.  For each k of its stride, the trinomial scan sieves every
+    candidate of each orbit's least pair (k, l) that _trinomial_leaders
+    yields, keying the x0 = 0 stage by _zero_class, then walks
     the survivors under sigma, the map of their logs (B, A) to the
     representative of (beta^2, alpha^2), which permutes the representatives
     with sigma^n the identity: a sigma-orbit with a rejected member holds no
@@ -394,41 +401,42 @@ def _shard(args) -> tuple[list[tuple], int, int]:
                         hits.append((((k, 1), (l, alpha)), N // u))
     elif shape == "trinomial":
         sieve = _fiber_sieve(ctx, tabs, powers)
-        for k, l, units in items:
-            AK, AL = powers[k], powers[l]
-            u, w, rescale = _rescaling_reps(N, k, l, dedupe)
-            sigma = lambda B, A: rescale(2 * B, 2 * A)  # squaring commutes with rescaling
-            alphas = EXP[:w]
-            zk, zl = _zero_class(N, k, l)
-            survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
-            for B in range(u):
-                alive = sieve(((k, 1), (l, EXP[B])), alphas, (zk, zl, B, w))
-                rejected += (w - len(alive)) * len(units)
-                survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
-            scanned += u * w * len(units)  # every member has the u*w of (k, l)
-            found = []  # the (B, A) logs of the hits
-            decided = set()
-            for rep in survivors:
-                if rep in decided:
-                    continue
-                orbit, m = [rep], sigma(*rep)
-                while m != rep and m in survivors:  # stop at the first member the sieve rejected
-                    orbit.append(m)
-                    m = sigma(*m)
-                decided.update(orbit)
-                if m == rep:
-                    B, A = rep
-                    TB = tabs[EXP[B]]
-                    H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + g^B*x^l
-                    if fibers_two_to_one(order, 0, H, EXP[A], tg):
-                        found.extend(orbit)
-            if found:
-                weight = N * N // (u * w)
-                for e in units:
-                    k2, l2, image = _relabel(N, k, l, e, dedupe)
-                    for B, A in found:
-                        B, A = image(B, A)
-                        hits.append((((k2, 1), (l2, EXP[B]), (1, EXP[A])), weight))
+        for k in items:
+            for l, units in _trinomial_leaders(N, k):
+                AK, AL = powers[k], powers[l]
+                u, w, rescale = _rescaling_reps(N, k, l, dedupe)
+                sigma = lambda B, A: rescale(2 * B, 2 * A)  # squaring commutes with rescaling
+                alphas = EXP[:w]
+                zk, zl = _zero_class(N, k, l)
+                survivors = {}  # the (B, A) logs of the sieve survivors, in scan order
+                for B in range(u):
+                    alive = sieve(((k, 1), (l, EXP[B])), alphas, (zk, zl, B, w))
+                    rejected += (w - len(alive)) * len(units)
+                    survivors.update(dict.fromkeys((B, LOG[a]) for a in alive))
+                scanned += u * w * len(units)  # every member has the u*w of (k, l)
+                found = []  # the (B, A) logs of the hits
+                decided = set()
+                for rep in survivors:
+                    if rep in decided:
+                        continue
+                    orbit, m = [rep], sigma(*rep)
+                    while m != rep and m in survivors:  # stop at the first member the sieve rejected
+                        orbit.append(m)
+                        m = sigma(*m)
+                    decided.update(orbit)
+                    if m == rep:
+                        B, A = rep
+                        TB = tabs[EXP[B]]
+                        H = [a ^ TB[b] for a, b in zip(AK, AL)]  # x^k + g^B*x^l
+                        if fibers_two_to_one(order, 0, H, EXP[A], tg):
+                            found.extend(orbit)
+                if found:
+                    weight = N * N // (u * w)
+                    for e in units:
+                        k2, l2, image = _relabel(N, k, l, e, dedupe)
+                        for B, A in found:
+                            B, A = image(B, A)
+                            hits.append((((k2, 1), (l2, EXP[B]), (1, EXP[A])), weight))
     else:  # quadrinomial
         _, key, leaders, sizes = ctx.orbit_tables()
         at = [(0, *itemgetter(*leaders)(P)) for P in powers]  # x^e at x = 0 and the orbit leaders
@@ -443,8 +451,8 @@ def _shard(args) -> tuple[list[tuple], int, int]:
 
 
 def _strides(items, workers: int) -> list:
-    """items dealt round-robin into W = min(workers, len(items)) strides, one
-    per shard; a range slices into ranges."""
+    """The int shard items dealt round-robin into W = min(workers, len(items))
+    strides, one per shard."""
     W = min(workers, len(items))
     return [items[i::W] for i in range(W)]
 
@@ -475,12 +483,8 @@ def worker_pool(workers: int, shape: str, n: int):
     None when the calling process runs every shard alone.
 
     The calling process runs one shard of each search, so the pool holds one
-    worker fewer than the largest of those searches has shards.  Listing the
-    trinomial orbits costs as much as a small scan, so their count is bounded
-    by the template's exponent pairs."""
-    N = 2**n - 1
-    items = (N - 2) * (N - 3) // 2 if shape == "trinomial" else len(SHAPES[shape](N))
-    return _pool(min(workers, items) - 1)
+    worker fewer than the largest of those searches has shards."""
+    return _pool(min(workers, len(SHAPES[shape](2**n - 1))) - 1)
 
 
 def _run_shards(fn, shard_args, pool=None):

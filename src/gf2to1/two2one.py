@@ -49,13 +49,11 @@ __all__ = [
     "orbits_two_to_one",
     "is_o_polynomial",
     "o_orbit",
-    "square_map",
     "qm_transforms",
     "qm_unit_transforms",
     "qm_canonical",
     "qm_shape_orbit",
     "FAMILY_TAGS",
-    "family_admissibility_error",
     "admissible_family_tags",
     "make_family",
     "alpha_roots",
@@ -216,17 +214,6 @@ def is_o_polynomial(f: SparsePoly) -> bool:
     base = list(_walk(ctx.order, 0, streams))
     tg = ctx.mul_table(ctx.generator)
     return all(fibers_two_to_one(ctx.order, 0, base, a, tg) for a in ctx.nonzero())
-
-
-def square_map(f: SparsePoly) -> SparsePoly:
-    """The reduced polynomial inducing x -> f(x)^2.
-
-    Post-composing with the squaring bijection preserves fiber sizes, so f
-    and square_map(f) are 2-to-1 together; families stated via f^2 are
-    therefore verified on f itself.
-    """
-    ctx = f.ctx
-    return reduce_exponents(SparsePoly.make(ctx, ((2 * e, ctx.sqr(c)) for e, c in f.terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +533,6 @@ def _normalize_tag(tag: str) -> str:
         if padded in _FAMILIES:
             return padded
     raise ValueError(f"unknown family {tag!r}; known: {', '.join(FAMILY_TAGS)}")
-
-
-def family_admissibility_error(tag: str, n: int) -> str | None:
-    adm, _ = _FAMILIES[_normalize_tag(tag)]
-    return adm(n)
 
 
 def admissible_family_tags(n: int) -> list[str]:

@@ -111,14 +111,10 @@ def per_hit_hits(ctx, shape, dedupe, raw):
     return tuple(Hit(p, len(qm_shape_orbit(p, pred))) for p in polys)
 
 
-# each shape's shard items: a3 over GF(2^n), the (k, l, units) of each
-# unit-relabelling orbit of trinomial exponent pairs, else k up to 2^n - 2
-OUTER = {
-    "degree5": lambda order: range(order),
-    "binomial": lambda order: range(3, order - 1),
-    "trinomial": lambda order: search._trinomial_orbits(order - 1),
-    "quadrinomial": lambda order: range(4, order - 1),
-}
+def trinomial_orbits(N):
+    """(k, l, units) for the least pair (k, l) of every unit-relabelling
+    orbit, as the trinomial shards list them, over every leading exponent k."""
+    return [(k, l, units) for k in range(3, N) for l, units in search._trinomial_leaders(N, k)]
 
 
 class TestDegree5:
@@ -235,7 +231,7 @@ class TestSparseSearches:
         monkeypatch.setattr(search, "_fiber_sieve", lambda ctx, tabs, powers: lambda terms, alphas, key=None: alphas)
         ctx = F16
         N = ctx.order - 1
-        hits, scanned, _ = search._shard((4, ctx.modulus, shape, "qm", OUTER[shape](ctx.order)))
+        hits, scanned, _ = search._shard((4, ctx.modulus, shape, "qm", SHAPES[shape](N)))
         assert len(hits) == scanned
         per_exponents = Counter()
         for terms, weight in hits:
@@ -296,11 +292,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n,shape", [(n, s) for n in (3, 4, 5) for s in SHAPES])
     def test_shards_partition_the_exponent_range(self, n, shape, monkeypatch):
-        # trinomial shards partition the orbit representatives, whose members
-        # partition the exponent pairs (TestUnitRelabelling)
+        # trinomial shards partition the k that hold an orbit's least pair,
+        # whose members partition the exponent pairs (TestUnitRelabelling)
         ctx = make_field(n)
         N = ctx.order - 1
-        scanned = set(OUTER[shape](ctx.order))
+        scanned = set(SHAPES[shape](N))
         shards = []
 
         def record(fn, shard_args, pool=None):  # keeps the shard items, scans nothing
@@ -337,8 +333,16 @@ class TestDeterminism:
         monkeypatch.setattr(search, "_process_pool", InlinePool)
         a = search_sparse(F8, "binomial", workers=64)
         b = search_degree5(F8, workers=64)
-        # exponents 3..6 and a3 in GF(8), the first shard in the calling process
-        assert sizes == [3, 7]
+        c = search_sparse(F8, "trinomial", workers=64)
+        with search.worker_pool(64, "trinomial", 3):
+            pass
+        # exponents 3..6, a3 in GF(8) and the trinomial k = 3, 4, 5 that hold
+        # an orbit's least pair, the first shard in the calling process
+        assert len(SHAPES["trinomial"](7)) == 3
+        assert sizes == [3, 7, 2, 2]
+        assert report_to_json(c, include_timing=False) == report_to_json(
+            search_sparse(F8, "trinomial"), include_timing=False
+        )
         assert report_to_json(a, include_timing=False) == report_to_json(
             search_sparse(F8, "binomial"), include_timing=False
         )
@@ -350,7 +354,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("n", [3, 4])
     def test_every_shard_scans_a_candidate(self, n, shape):
         ctx = make_field(n)
-        outer = OUTER[shape](ctx.order)
+        outer = SHAPES[shape](ctx.order - 1)
         for workers in range(1, len(outer) + 1):
             for stride in search._strides(outer, workers):
                 _, scanned, _ = search._shard((n, ctx.modulus, shape, "qm", stride))
@@ -516,7 +520,7 @@ class TestZeroClass:
         N = ctx.order - 1
         q = zero_quotients(ctx)
         high = [[v << 8 for v in s] for s in q]
-        pairs = [(k, l) for k, l, _ in search._trinomial_orbits(N)]
+        pairs = [(k, l) for k, l, _ in trinomial_orbits(N)]
         joint = {}
         no_unit = 0
         for k, l in pairs:
@@ -552,7 +556,7 @@ class TestZeroClass:
             return record
 
         monkeypatch.setattr(search, "_fiber_sieve", recording)
-        search._shard((n, ctx.modulus, "trinomial", dedupe, search._trinomial_orbits(N)))
+        search._shard((n, ctx.modulus, "trinomial", dedupe, SHAPES["trinomial"](N)))
         (sieve,) = sieves
         stored = closure_cell(sieve, "zero")
         assert all(key is not None for *_, key in calls)  # every trinomial call passes its key
@@ -638,9 +642,9 @@ def kernel_calls(ctx, monkeypatch, shape, name="fibers_two_to_one"):
     return spy["calls"]
 
 
-def pairs_as_own_orbits(N):
-    """A representative builder under which every exponent pair is its own orbit."""
-    return [(k, l, (1,)) for k, l in trinomial_exponent_pairs(N)]
+def pairs_as_own_orbits(N, k):
+    """A least-pair lister under which every exponent pair is its own orbit."""
+    return ((l, (1,)) for k2, l in trinomial_exponent_pairs(N) if k2 == k)
 
 
 def literal_orbit(N, pairs, k, l):
@@ -659,7 +663,7 @@ class TestUnitRelabelling:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_members_partition_the_exponent_pairs(self, n):
         N = 2**n - 1
-        orbits = search._trinomial_orbits(N)
+        orbits = trinomial_orbits(N)
         assert [(k, l) for k, l, _ in orbits] == sorted((k, l) for k, l, _ in orbits)  # template order
         members = {(k, l): [search._relabel(N, k, l, e, "none")[:2] for e in units] for k, l, units in orbits}
         flat = [m for ms in members.values() for m in ms]
@@ -671,6 +675,11 @@ class TestUnitRelabelling:
             assert min(members[k, l]) == (k, l)
             if n <= 7:  # one relabelling orbit, and its least pair
                 assert set(members[k, l]) == literal_orbit(N, pairs, k, l), (k, l)
+        # the shard items are the k that hold a least pair; a prime N leaves
+        # the row k = N - 1 without one, and a stride that held it alone
+        # would scan nothing
+        rows = SHAPES["trinomial"](N)
+        assert rows == sorted({k for k, _, _ in orbits}) and (N - 1 not in rows) == (n in (3, 5, 7))
 
     @pytest.mark.parametrize("dedupe", ["none", "qm"])
     @pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.long)])
@@ -697,7 +706,7 @@ class TestUnitRelabelling:
                 reps[key] = table
             return reps[key]
 
-        for k, l, units in search._trinomial_orbits(N):
+        for k, l, units in trinomial_orbits(N):
             u, w, _ = search._rescaling_reps(N, k, l, dedupe)
             for e in units:
                 k2, l2, image = search._relabel(N, k, l, e, dedupe)
@@ -724,7 +733,7 @@ class TestUnitRelabelling:
     def test_reports_match_the_relabel_off_scan(self, n, dedupe, workers, monkeypatch):
         ctx = make_field(n)
         relabelled = search_sparse(ctx, "trinomial", dedupe, workers=workers)
-        monkeypatch.setattr(search, "_trinomial_orbits", pairs_as_own_orbits)
+        monkeypatch.setattr(search, "_trinomial_leaders", pairs_as_own_orbits)
         plain = search_sparse(ctx, "trinomial", dedupe, workers=workers)
         assert report_to_json(relabelled, include_timing=False) == report_to_json(plain, include_timing=False)
         assert relabelled.candidates_scanned == plain.candidates_scanned
@@ -733,7 +742,7 @@ class TestUnitRelabelling:
 
     @pytest.mark.parametrize("n,calls", [(4, 3), (5, 8), (6, 87)])
     def test_relabel_off_kernel_calls_pinned(self, n, calls, monkeypatch):
-        monkeypatch.setattr(search, "_trinomial_orbits", pairs_as_own_orbits)
+        monkeypatch.setattr(search, "_trinomial_leaders", pairs_as_own_orbits)
         assert kernel_calls(make_field(n), monkeypatch, "trinomial") == calls
 
 
