@@ -36,6 +36,7 @@ from .search import (
     SEARCH_MAX_N,
     SHAPES,
     TABLE_RUNS,
+    WorkerDied,
     compare_with_table,
     diff_to_dict,
     report_to_csv,
@@ -297,14 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _broken_pool() -> tuple:
-    """The class a dead search worker raises, read when an exception reaches
-    main's handler: the pool module loads only with the first pool, and
-    without it no worker can have died."""
-    process = sys.modules.get("concurrent.futures.process")
-    return (process.BrokenProcessPool,) if process else ()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -316,7 +309,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _diag(f"error: {exc}")
         return EXIT_USAGE
-    except _broken_pool() as exc:
+    except WorkerDied as exc:
         _diag(f"error: a search worker process died: {exc}")
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -12,8 +12,11 @@ Candidates are verified by the early-exit kernels of two2one.  Shard i of W
 scans every W-th item from the i-th on; the cost of an item grows with k, so
 the strides carry about equal work.  Shard 0 runs in the calling process and
 the others in a pool of W - 1 worker processes, opened per search or shared
-by a run of searches (worker_pool).  The process-pool modules are imported
-when the first pool opens, so a single-process run never loads them.
+by a run of searches (worker_pool).  The pool forks its workers with os.fork,
+writes each one pickled tasks on a pipe of its own and reads the results from
+another; it imports neither multiprocessing nor concurrent.futures, and
+pickle only when the first pool sends a task.  Where os.fork does not exist
+(Windows), no pool opens and the calling process runs every shard.
 Partial hit lists are merged and globally sorted, so a report is
 byte-identical for any worker count.  Every shape is capped at
 n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the long-run flag.
@@ -64,10 +67,13 @@ read them as they are.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 from operator import itemgetter, xor
@@ -111,6 +117,7 @@ __all__ = [
     "Hit",
     "SearchReport",
     "TableDiff",
+    "WorkerDied",
     "search_degree5",
     "search_sparse",
     "compare_with_table",
@@ -458,29 +465,160 @@ def _strides(items, workers: int) -> list:
 
 
 def _pool(size: int):
-    """A pool of size forked worker processes, or a null context for none.
-    The pool modules, multiprocessing and concurrent.futures, load with the
-    first pool, so a process that opens none never loads them."""
-    return _process_pool(size) if size >= 1 else contextlib.nullcontext()
+    """A pool of size forked worker processes, or a null context for none;
+    where os.fork does not exist (Windows) no pool opens."""
+    return _process_pool(size) if size >= 1 and hasattr(os, "fork") else contextlib.nullcontext()
 
 
-def _process_pool(size: int):
-    """A ProcessPoolExecutor of size >= 1 forked workers, the one place that
-    imports the pool modules."""
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
+class WorkerDied(RuntimeError):
+    """A pool worker process ended before it sent back a task's result."""
 
+
+def _process_pool(size: int) -> _ForkPool:
+    """Fork size >= 1 workers, each reading tasks from a pipe of its own and
+    answering on another (_serve), and return the pool that holds them.
+
+    A worker leaves through os._exit, so it runs none of the parent's exit
+    handlers and flushes none of its inherited stdio buffers.  Each worker
+    first closes the parent's ends of the pipes of the workers forked before
+    it, so every pipe has one reader and one writer: a task pipe reaches EOF
+    as soon as the parent closes it, and a result pipe as soon as its worker
+    ends."""
+    pool = _ForkPool()
     try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        ctx = mp.get_context()
-    return ProcessPoolExecutor(max_workers=size, mp_context=ctx)
+        for _ in range(size):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (task_r, task_w, result_r, result_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(task_w)
+                    os.close(result_r)
+                    for w in pool.workers:
+                        w.tasks.close()
+                        w.results.close()
+                    _serve(task_r, result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            pool.workers.append(_Worker(pid, open(task_w, "wb"), open(result_r, "rb")))
+    except BaseException:
+        pool.__exit__(*sys.exc_info())
+        raise
+    return pool
+
+
+def _serve(task_r: int, result_w: int) -> None:
+    """A worker's loop: unpickle each (fn, args) task from the task_r pipe
+    and write the pickled (True, fn(args)), or (False, exception) when fn
+    raised, to the result_w pipe, until task_r reaches EOF.  pickle loads
+    here and in _Worker, so a process that opens no pool never loads it."""
+    import pickle
+
+    with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
+        while True:
+            try:
+                fn, args = pickle.load(tasks)
+            except EOFError:
+                return
+            try:
+                out = pickle.dumps((True, fn(args)))
+            except Exception as exc:
+                out = pickle.dumps((False, exc))
+            results.write(out)
+            results.flush()
+
+
+class _Worker:
+    """One forked worker: its pid, the parent's ends of its task and result
+    pipes, and the tasks sent to it whose results are unread, oldest first."""
+
+    def __init__(self, pid: int, tasks, results):
+        self.pid, self.tasks, self.results = pid, tasks, results
+        self.pending: collections.deque[_Task] = collections.deque()
+
+    def submit(self, fn, args) -> _Task:
+        import pickle
+
+        try:
+            pickle.dump((fn, args), self.tasks)
+            self.tasks.flush()
+        except BrokenPipeError:
+            raise WorkerDied(f"worker {self.pid} closed its task pipe") from None
+        task = _Task(self)
+        self.pending.append(task)
+        return task
+
+    def read(self) -> tuple:
+        """The (ok, value) of the oldest task whose result is unread."""
+        import pickle
+
+        try:
+            return pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            raise WorkerDied(f"worker {self.pid} ended without a result") from None
+
+
+class _Task:
+    """A task sent to a worker.  result() gives its value or raises the
+    exception it raised; the worker answers in order, so result() reads the
+    results of the tasks sent to that worker before this one first."""
+
+    def __init__(self, worker: _Worker):
+        self.worker, self.out = worker, None
+
+    def result(self):
+        while self.out is None:
+            self.worker.pending.popleft().out = self.worker.read()
+        ok, value = self.out
+        if ok:
+            return value
+        raise value
+
+
+class _ForkPool:
+    """The parent's side of _process_pool's workers, as a context manager.
+    submit hands a task to the worker with the fewest unread results.  On
+    leaving, the pool closes its pipe ends, and each idle worker reads EOF
+    and exits; when the with block raised, the pool also kills every
+    worker, busy or not.  It reaps each one, so none outlives the pool."""
+
+    def __init__(self):
+        self.workers: list[_Worker] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for w in self.workers:
+            with contextlib.suppress(OSError):  # a dead worker's unsent task
+                w.tasks.close()
+            w.results.close()
+            if exc_type is not None:
+                import signal
+
+                os.kill(w.pid, signal.SIGKILL)
+        for w in self.workers:
+            os.waitpid(w.pid, 0)
+        return False
+
+    def submit(self, fn, args) -> _Task:
+        return min(self.workers, key=lambda w: len(w.pending)).submit(fn, args)
 
 
 def worker_pool(workers: int, shape: str, n: int):
     """The pool that search_sparse(pool=...) shares between the searches of
     shape up to GF(2^n) at this worker count, as a context manager; it gives
-    None when the calling process runs every shard alone.
+    None when the calling process runs every shard alone.  Its workers are
+    forked once, when it opens, and reaped when it closes.
 
     The calling process runs one shard of each search, so the pool holds one
     worker fewer than the largest of those searches has shards."""
@@ -489,8 +627,9 @@ def worker_pool(workers: int, shape: str, n: int):
 
 def _run_shards(fn, shard_args, pool=None):
     """fn over shard_args, in order: the first in the calling process, the
-    rest in pool, or in a pool of their own when pool is None."""
-    if len(shard_args) <= 1:
+    rest in pool, or in a pool of their own when pool is None.  Without
+    os.fork the calling process runs them all."""
+    if len(shard_args) <= 1 or pool is None and not hasattr(os, "fork"):
         return [fn(a) for a in shard_args]
     if pool is None:
         with _pool(len(shard_args) - 1) as own:
@@ -618,9 +757,10 @@ def search_sparse(
     n = SEARCH_MAX_N, or SEARCH_LONG_MAX_N with long_run.
 
     The search splits into min(workers, shard items) shards.  The first runs
-    in the calling process and the others in pool, a ProcessPoolExecutor
-    that worker_pool opens for a run of searches; with pool=None the search
-    opens a pool of its own.
+    in the calling process and the others in pool, the forked workers that
+    worker_pool opens for a run of searches; with pool=None the search
+    opens a pool of its own.  A worker that dies raises WorkerDied, and an
+    exception a shard raises in a worker is raised here.
     """
     return _search(ctx, shape, dedupe, long_run, workers, pool)
 

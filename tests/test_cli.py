@@ -7,7 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
-from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,6 +65,46 @@ def _dying_shard(args):
     if os.getpid() != _PID:
         os._exit(1)
     return [], 0, 0
+
+
+def _raising_shard(args):
+    """Raises in a pool worker; the calling process runs its own shard as
+    an empty one."""
+    if os.getpid() != _PID:
+        raise ValueError(f"shard {args[-1][0]} refused")
+    return [], 0, 0
+
+
+def _sleeping_shard(args):
+    """Keeps a pool worker busy while the calling process's shard fails."""
+    if os.getpid() != _PID:
+        time.sleep(60)
+        return [], 0, 0
+    raise KeyboardInterrupt
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returns to this process during the test."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _all_reaped(pids):
+    """Every pid in pids was forked and has been reaped; pids is emptied."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    pids.clear()
 
 
 def _child_env():
@@ -214,6 +254,70 @@ class TestSearch:
             assert "Traceback" not in err
             assert out == ""
 
+    def test_worker_exception_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "_shard", _raising_shard)
+        code, out, err = run(capsys, "search", "--shape", "binomial", "--n", "4", "--workers", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: shard 4 refused\n"
+
+    def test_no_worker_outlives_its_pool(self, capsys, monkeypatch, forks):
+        argv = ("search", "--shape", "binomial", "--n", "4", "--workers", "2")
+        assert run(capsys, *argv)[0] == 0
+        _all_reaped(forks)
+        monkeypatch.setattr(search, "_shard", _dying_shard)
+        assert run(capsys, *argv)[0] == 2
+        _all_reaped(forks)
+        # the calling process's shard fails while a worker is busy: the pool
+        # kills that worker instead of waiting for it
+        monkeypatch.setattr(search, "_shard", _sleeping_shard)
+        t0 = time.monotonic()
+        assert run(capsys, *argv)[0] == 2
+        assert time.monotonic() - t0 < 30
+        _all_reaped(forks)
+
+    def test_one_dying_worker_of_three(self):
+        # shard 1 of 3 dies while shard 2 completes: the command must end
+        # with the usage error, and no worker may outlive the pool
+        script = (
+            "import os, sys\n"
+            "from gf2to1 import search\n"
+            "from gf2to1.cli import main\n"
+            "shard, fork, pids = search._shard, os.fork, []\n"
+            "def dies_at_4(args):\n"
+            "    if args[-1][0] == 4:\n"
+            "        os._exit(1)\n"
+            "    return shard(args)\n"
+            "def recording_fork():\n"
+            "    pids.append(fork())\n"
+            "    return pids[-1]\n"
+            "search._shard, os.fork = dies_at_4, recording_fork\n"
+            "code = main(['search', '--shape', 'binomial', '--n', '4', '--workers', '3'])\n"
+            "for pid in pids:\n"
+            "    try:\n"
+            "        os.waitpid(pid, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('reaped', file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[0].startswith("error: a search worker process died")
+        assert proc.stderr.splitlines()[1:] == ["reaped", "reaped"]
+
+    def test_without_fork_every_shard_runs_in_process(self, capsys, monkeypatch):
+        # where os.fork does not exist no pool opens, at any worker count
+        argv = ("tables", "--which", "II", "--n-max", "4", "--format", "json", "--workers")
+        _, plain, _ = run(capsys, *argv, "1")
+        monkeypatch.delattr(os, "fork")
+        code, out, err = run(capsys, *argv, "3")
+        assert (code, err) == (0, "")
+        assert out == plain
+        code, out, err = run(capsys, "search", "--shape", "binomial", "--n", "4")  # --workers defaults to the CPU count
+        assert (code, err) == (0, "")
+        assert "hits" in out
+
 
 class TestTables:
     def test_table1_ok(self, capsys):
@@ -248,9 +352,8 @@ class TestTables:
 
             def submit(self, fn, args):
                 submitted.append(args[0])
-                done = Future()
-                done.set_result(fn(args))
-                return done
+                value = fn(args)
+                return SimpleNamespace(result=lambda: value)
 
         _, plain, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "1", "--format", "json")
         monkeypatch.setattr(search, "_process_pool", InlinePool)
@@ -263,6 +366,22 @@ class TestTables:
         _, out1, _ = run(capsys, "tables", "--which", "II", "--n-max", "4", "--workers", "1", "--format", "json")
         _, out2, _ = run(capsys, "tables", "--which", "II", "--n-max", "4", "--workers", "2", "--format", "json")
         assert out1.encode() == out2.encode()
+
+    def test_byte_identical_stdout_across_worker_processes(self):
+        # stdout is a buffered pipe, so the line printed first is still in
+        # the buffer when the workers fork; a worker that flushed its copy
+        # of that buffer on exit would repeat it, which capsys cannot see
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+
+        def stdout(workers):
+            argv = ["tables", "--which", "II", "--n-max", "4", "--workers", workers]
+            script = f"print('tables'); from gf2to1.cli import main; main({argv!r})"
+            return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60).stdout
+
+        one = stdout("1")
+        assert one.startswith(b"tables\ntable II n=3")
+        assert stdout("3") == one
 
     def test_bad_n_max(self, capsys):
         code, _, err = run(capsys, "tables", "--which", "II", "--n-max", "2")
@@ -587,8 +706,8 @@ class TestStrictNumbers:
 
 
 class TestImportBudget:
-    """A process that opens no worker pool never loads the pool modules:
-    search imports them when its first pool opens."""
+    """No run loads the process-pool modules: search forks its workers
+    with os.fork and talks to them over pipes."""
 
     PROBE = (
         "import sys; "
@@ -602,15 +721,11 @@ class TestImportBudget:
             ("import gf2to1.cli", []),
             ("from gf2to1.cli import main; main(['lemma', '--which', '2.4', '--n', '3'])", []),
             ("from gf2to1.cli import main; main(['tables', '--which', 'I', '--workers', '1'])", []),
-            # the probe sees the modules once a pool has opened
-            (
-                "from gf2to1.cli import main; main(['tables', '--which', 'II', '--n-max', '4', '--workers', '2'])",
-                ["multiprocessing", "concurrent.futures"],
-            ),
+            ("from gf2to1.cli import main; main(['tables', '--which', 'II', '--n-max', '4', '--workers', '2'])", []),
         ],
         ids=["package", "cli", "lemma", "tables-1-worker", "tables-2-workers"],
     )
-    def test_pool_modules_load_with_the_first_pool(self, statement, loaded):
+    def test_pool_modules_never_load(self, statement, loaded):
         proc = subprocess.run(
             [sys.executable, "-c", f"{statement}\n{self.PROBE}"],
             env=_child_env(),

@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 from collections import Counter
-from concurrent.futures import Future
 from importlib import resources
 from operator import xor
+from types import SimpleNamespace
 
 import pytest
 
@@ -326,9 +327,8 @@ class TestDeterminism:
                 return False
 
             def submit(self, fn, args):
-                done = Future()
-                done.set_result(fn(args))
-                return done
+                value = fn(args)
+                return SimpleNamespace(result=lambda: value)
 
         monkeypatch.setattr(search, "_process_pool", InlinePool)
         a = search_sparse(F8, "binomial", workers=64)
@@ -359,6 +359,73 @@ class TestDeterminism:
             for stride in search._strides(outer, workers):
                 _, scanned, _ = search._shard((n, ctx.modulus, shape, "qm", stride))
                 assert scanned > 0, (workers, stride)
+
+
+def open_fds(_):
+    return len(os.listdir("/proc/self/fd"))
+
+
+PID = os.getpid()
+
+
+def parent_fails_shard(args):
+    """A shard that fails in the calling process and, in a worker, returns
+    a result no search could give."""
+    if os.getpid() == PID:
+        raise ZeroDivisionError
+    return [(((9, 1), (1, 1)), 1)], 999, 0
+
+
+class TestForkPool:
+    def test_results_in_any_order(self):
+        with search._pool(2) as pool:
+            tasks = [pool.submit(abs, -i) for i in range(5)]  # more tasks than workers
+            assert [t.result() for t in reversed(tasks)] == [4, 3, 2, 1, 0]
+
+    def test_task_exception_reraised(self):
+        with search._pool(1) as pool:
+            with pytest.raises(ValueError, match="math domain error"):
+                pool.submit(math.sqrt, -1).result()
+            assert pool.submit(math.sqrt, 4).result() == 2.0  # the worker lives on
+
+    def test_unread_result_stays_with_its_search(self, monkeypatch):
+        # the first search fails in the calling process and never reads its
+        # worker's result; the next search on the pool must not take it
+        plain = report_to_json(search_sparse(F16, "binomial"), include_timing=False)
+        with search.worker_pool(2, "binomial", 4) as pool:
+            with monkeypatch.context() as m:
+                m.setattr(search, "_shard", parent_fails_shard)
+                with pytest.raises(ZeroDivisionError):
+                    search_sparse(F16, "binomial", workers=2, pool=pool)
+            rep = search_sparse(F16, "binomial", workers=2, pool=pool)
+        assert report_to_json(rep, include_timing=False) == plain
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_leaves_nothing_open(self, monkeypatch):
+        # the second fork fails: the first worker is reaped and every pipe closed
+        real_fork, forks = os.fork, []
+
+        def fork():
+            if forks:
+                raise OSError("no more processes")
+            forks.append(real_fork())
+            return forks[-1]
+
+        before = open_fds(None)
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", fork)
+            with pytest.raises(OSError, match="no more processes"):
+                search._pool(2)
+        assert open_fds(None) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_workers_hold_only_their_own_pipes(self):
+        # a worker forked later must not keep an earlier worker's pipes open
+        with search._pool(3) as pool:
+            counts = [t.result() for t in [pool.submit(open_fds, None) for _ in range(3)]]
+        assert len(set(counts)) == 1, counts
 
 
 def shard_tables(ctx):
