@@ -10,13 +10,14 @@ Every shard builds one table set, read by every shape and by the fiber sieve:
 the multiply table of each field element and the power list of each exponent.
 Candidates are verified by the early-exit kernels of two2one.  Shard i of W
 scans every W-th item from the i-th on; the cost of an item grows with k, so
-the strides carry about equal work.  Shard 0 runs in the calling process and
-the others in a pool of W - 1 worker processes, opened per search or shared
-by a run of searches (worker_pool).  The pool forks its workers with os.fork,
-writes each one pickled tasks on a pipe of its own and reads the results from
-another; it imports neither multiprocessing nor concurrent.futures, and
-pickle only when the first pool sends a task.  Where os.fork does not exist
-(Windows), no pool opens and the calling process runs every shard.
+the strides carry about equal work.  Every search runs its shards through
+one pool class, _Pool, opened per search or shared by a run of searches
+(worker_pool): shard 0 runs in the calling process and the others in up to
+W - 1 worker processes.  The pool forks its workers with os.fork, writes each
+one a pickled task on a pipe of its own and reads the result from another; it
+imports neither multiprocessing nor concurrent.futures, and pickle only when
+it sends a task.  Where os.fork does not exist (Windows), the pool forks no
+worker and the calling process runs every shard.
 Partial hit lists are merged and globally sorted, so a report is
 byte-identical for any worker count.  Every shape is capped at
 n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the long-run flag.
@@ -67,7 +68,6 @@ read them as they are.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import json
@@ -172,12 +172,6 @@ def _binomial_is_linearized_class(k: int, l: int, N: int) -> bool:
 # worker internals
 
 
-def _rescaling_u(N: int, k: int, l: int, dedupe: str) -> int:
-    """u of _rescaling_reps alone, for the binomial scan, which reads no
-    more: N, or gcd(l - k, N) with qm."""
-    return math.gcd((l - k) % N, N) if dedupe == "qm" else N
-
-
 def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
     """(u, w, rep) for x^k + beta*x^l + alpha*x: the scan takes beta = g^B
     and alpha = g^A for every B below u and A below w, and rep(B, A), for any
@@ -193,11 +187,11 @@ def _rescaling_reps(N: int, k: int, l: int, dedupe: str):
     w = gcd((N/u)*q, N).  rep translates by the j with B + j*p = B mod u
     (mod N) and reduces A mod w.
     """
-    u = _rescaling_u(N, k, l, dedupe)
     if dedupe != "qm":
-        return u, N, lambda B, A: (B % N, A % N)
+        return N, N, lambda B, A: (B % N, A % N)
     p = (l - k) % N
     q = (1 - k) % N
+    u = math.gcd(p, N)
     w = math.gcd((N // u) * q, N)
     r = pow(p // u, -1, N // u)
 
@@ -400,7 +394,7 @@ def _shard(args) -> tuple[list[tuple], int, int]:
             for l in range(1, k):
                 if _binomial_is_linearized_class(k, l, N):
                     continue  # the linearized class is set aside
-                u = _rescaling_u(N, k, l, dedupe)
+                u = _rescaling_reps(N, k, l, dedupe)[0]
                 TL = tabs[EXP[l]]
                 for alpha in EXP[:u]:
                     scanned += 1
@@ -464,63 +458,114 @@ def _strides(items, workers: int) -> list:
     return [items[i::W] for i in range(W)]
 
 
-def _pool(size: int):
-    """A pool of size forked worker processes, or a null context for none;
-    where os.fork does not exist (Windows) no pool opens."""
-    return _process_pool(size) if size >= 1 and hasattr(os, "fork") else contextlib.nullcontext()
-
-
 class WorkerDied(RuntimeError):
     """A pool worker process ended before it sent back a task's result."""
 
 
-def _process_pool(size: int) -> _ForkPool:
-    """Fork size >= 1 workers, each reading tasks from a pipe of its own and
-    answering on another (_serve), and return the pool that holds them.
+class _Pool:
+    """size forked worker processes, or none where os.fork does not exist
+    (Windows), as a context manager.  Each worker reads pickled (fn, args)
+    tasks from a pipe of its own and answers on another (_serve).
 
     A worker leaves through os._exit, so it runs none of the parent's exit
     handlers and flushes none of its inherited stdio buffers.  Each worker
     first closes the parent's ends of the pipes of the workers forked before
     it, so every pipe has one reader and one writer: a task pipe reaches EOF
     as soon as the parent closes it, and a result pipe as soon as its worker
-    ends."""
-    pool = _ForkPool()
-    try:
-        for _ in range(size):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in (task_r, task_w, result_r, result_w):
-                    os.close(fd)
-                raise
-            if pid == 0:
-                code = 1
+    ends.  On leaving, the pool closes its pipe ends, and each idle worker
+    reads EOF and exits; when the with block raised, the pool also kills
+    every worker, busy or not.  It reaps each one, so none outlives the
+    pool."""
+
+    def __init__(self, size: int):
+        self.workers: list[tuple] = []  # (pid, task pipe writer, result pipe reader)
+        if not hasattr(os, "fork"):
+            return
+        try:
+            for _ in range(size):
+                task_r, task_w = os.pipe()
+                result_r, result_w = os.pipe()
                 try:
-                    os.close(task_w)
-                    os.close(result_r)
-                    for w in pool.workers:
-                        w.tasks.close()
-                        w.results.close()
-                    _serve(task_r, result_w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(task_r)
-            os.close(result_w)
-            pool.workers.append(_Worker(pid, open(task_w, "wb"), open(result_r, "rb")))
-    except BaseException:
-        pool.__exit__(*sys.exc_info())
-        raise
-    return pool
+                    pid = os.fork()
+                except OSError:
+                    for fd in (task_r, task_w, result_r, result_w):
+                        os.close(fd)
+                    raise
+                if pid == 0:
+                    code = 1
+                    try:
+                        os.close(task_w)
+                        os.close(result_r)
+                        for _, tasks, results in self.workers:
+                            tasks.close()
+                            results.close()
+                        _serve(task_r, result_w)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(task_r)
+                os.close(result_w)
+                self.workers.append((pid, open(task_w, "wb"), open(result_r, "rb")))
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for pid, tasks, results in self.workers:
+            with contextlib.suppress(OSError):  # a dead worker's unsent task
+                tasks.close()
+            results.close()
+            if exc_type is not None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+        for pid, _, _ in self.workers:
+            os.waitpid(pid, 0)
+        self.workers = []
+        return False
+
+    def run(self, fn, args: list) -> list:
+        """fn over args, in order.  Each worker takes one of the last args
+        and the calling process runs the rest, always at least the first.
+        When the call raises, for a failed first item, a worker's exception,
+        a dead worker or an interrupt, it kills and reaps every worker
+        first, so no unread result outlives it, and later calls run in
+        process.  pickle loads only when a task is sent."""
+        workers = self.workers[: max(len(args) - 1, 0)]
+        if not workers:
+            return [fn(a) for a in args]
+        import pickle
+
+        own = len(args) - len(workers)
+        try:
+            for (pid, tasks, _), a in zip(workers, args[own:]):
+                try:
+                    pickle.dump((fn, a), tasks)
+                    tasks.flush()
+                except BrokenPipeError:
+                    raise WorkerDied(f"worker {pid} closed its task pipe") from None
+            out = [fn(a) for a in args[:own]]
+            for pid, _, results in workers:
+                try:
+                    ok, value = pickle.load(results)
+                except (EOFError, pickle.UnpicklingError):
+                    raise WorkerDied(f"worker {pid} ended without a result") from None
+                if not ok:
+                    raise value
+                out.append(value)
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return out
 
 
 def _serve(task_r: int, result_w: int) -> None:
     """A worker's loop: unpickle each (fn, args) task from the task_r pipe
     and write the pickled (True, fn(args)), or (False, exception) when fn
-    raised, to the result_w pipe, until task_r reaches EOF.  pickle loads
-    here and in _Worker, so a process that opens no pool never loads it."""
+    raised, to the result_w pipe, until task_r reaches EOF."""
     import pickle
 
     with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
@@ -537,105 +582,23 @@ def _serve(task_r: int, result_w: int) -> None:
             results.flush()
 
 
-class _Worker:
-    """One forked worker: its pid, the parent's ends of its task and result
-    pipes, and the tasks sent to it whose results are unread, oldest first."""
-
-    def __init__(self, pid: int, tasks, results):
-        self.pid, self.tasks, self.results = pid, tasks, results
-        self.pending: collections.deque[_Task] = collections.deque()
-
-    def submit(self, fn, args) -> _Task:
-        import pickle
-
-        try:
-            pickle.dump((fn, args), self.tasks)
-            self.tasks.flush()
-        except BrokenPipeError:
-            raise WorkerDied(f"worker {self.pid} closed its task pipe") from None
-        task = _Task(self)
-        self.pending.append(task)
-        return task
-
-    def read(self) -> tuple:
-        """The (ok, value) of the oldest task whose result is unread."""
-        import pickle
-
-        try:
-            return pickle.load(self.results)
-        except (EOFError, pickle.UnpicklingError):
-            raise WorkerDied(f"worker {self.pid} ended without a result") from None
-
-
-class _Task:
-    """A task sent to a worker.  result() gives its value or raises the
-    exception it raised; the worker answers in order, so result() reads the
-    results of the tasks sent to that worker before this one first."""
-
-    def __init__(self, worker: _Worker):
-        self.worker, self.out = worker, None
-
-    def result(self):
-        while self.out is None:
-            self.worker.pending.popleft().out = self.worker.read()
-        ok, value = self.out
-        if ok:
-            return value
-        raise value
-
-
-class _ForkPool:
-    """The parent's side of _process_pool's workers, as a context manager.
-    submit hands a task to the worker with the fewest unread results.  On
-    leaving, the pool closes its pipe ends, and each idle worker reads EOF
-    and exits; when the with block raised, the pool also kills every
-    worker, busy or not.  It reaps each one, so none outlives the pool."""
-
-    def __init__(self):
-        self.workers: list[_Worker] = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        for w in self.workers:
-            with contextlib.suppress(OSError):  # a dead worker's unsent task
-                w.tasks.close()
-            w.results.close()
-            if exc_type is not None:
-                import signal
-
-                os.kill(w.pid, signal.SIGKILL)
-        for w in self.workers:
-            os.waitpid(w.pid, 0)
-        return False
-
-    def submit(self, fn, args) -> _Task:
-        return min(self.workers, key=lambda w: len(w.pending)).submit(fn, args)
-
-
-def worker_pool(workers: int, shape: str, n: int):
+def worker_pool(workers: int, shape: str, n: int) -> _Pool:
     """The pool that search_sparse(pool=...) shares between the searches of
-    shape up to GF(2^n) at this worker count, as a context manager; it gives
-    None when the calling process runs every shard alone.  Its workers are
-    forked once, when it opens, and reaped when it closes.
+    shape up to GF(2^n) at this worker count.  Its workers are forked once,
+    when it opens, and reaped when it closes.
 
     The calling process runs one shard of each search, so the pool holds one
     worker fewer than the largest of those searches has shards."""
-    return _pool(min(workers, len(SHAPES[shape](2**n - 1))) - 1)
+    return _Pool(min(workers, len(SHAPES[shape](2**n - 1))) - 1)
 
 
 def _run_shards(fn, shard_args, pool=None):
     """fn over shard_args, in order: the first in the calling process, the
-    rest in pool, or in a pool of their own when pool is None.  Without
-    os.fork the calling process runs them all."""
-    if len(shard_args) <= 1 or pool is None and not hasattr(os, "fork"):
-        return [fn(a) for a in shard_args]
-    if pool is None:
-        with _pool(len(shard_args) - 1) as own:
-            return _run_shards(fn, shard_args, own)
-    rest = [pool.submit(fn, a) for a in shard_args[1:]]
-    return [fn(shard_args[0]), *(f.result() for f in rest)]
+    rest in pool, or in a pool of their own when pool is None."""
+    if pool is not None:
+        return pool.run(fn, shard_args)
+    with _Pool(len(shard_args) - 1) as own:
+        return own.run(fn, shard_args)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +723,8 @@ def search_sparse(
     in the calling process and the others in pool, the forked workers that
     worker_pool opens for a run of searches; with pool=None the search
     opens a pool of its own.  A worker that dies raises WorkerDied, and an
-    exception a shard raises in a worker is raised here.
+    exception a shard raises in a worker is raised here; either way the
+    pool's workers are reaped, and later searches on it run in process.
     """
     return _search(ctx, shape, dedupe, long_run, workers, pool)
 

@@ -59,7 +59,6 @@ __all__ = [
     "alpha_roots",
     "IdentityCheck",
     "verify_resultant_identity",
-    "ELIMINATION_IDENTITIES",
     "point_count_curve",
     "point_count_lower_bound",
 ]
@@ -728,9 +727,6 @@ def _prove_identity(theorem: int) -> tuple[bool, GF2Poly]:
     res = sylvester_resultant(F, G, GF2Poly.monomial(0, 0, 0))
     lc, lr = closed.lead_x(), res.lead_x()
     return res * lc == closed * lr, F[-1].lead_x() * G[-1].lead_x() * lc * lr
-
-
-ELIMINATION_IDENTITIES = tuple(_QUAD_LIFTS)
 
 
 def verify_resultant_identity(theorem: int, ctx: FieldCtx) -> IdentityCheck:

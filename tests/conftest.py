@@ -25,3 +25,18 @@ def deadline():
     yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returns to this process during the test."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -7,7 +7,6 @@ import shlex
 import subprocess
 import sys
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -81,21 +80,6 @@ def _sleeping_shard(args):
         time.sleep(60)
         return [], 0, 0
     raise KeyboardInterrupt
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids that os.fork returns to this process during the test."""
-    real_fork, pids = os.fork, []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
 
 
 def _all_reaped(pids):
@@ -337,30 +321,21 @@ class TestTables:
         assert code == 0
         assert "MISMATCH" not in out
 
-    def test_one_pool_per_command(self, capsys, monkeypatch):
-        pools, submitted = [], []
+    def test_one_pool_per_command(self, capsys, monkeypatch, forks):
+        real_run, runs = search._Pool.run, []
 
-        class InlinePool:  # records its size and each shard it gets, starts no process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, args):
-                submitted.append(args[0])
-                value = fn(args)
-                return SimpleNamespace(result=lambda: value)
+        def recording_run(pool, fn, args):  # the pool's workers and the shards of each search
+            runs.append((len(pool.workers), len(args)))
+            return real_run(pool, fn, args)
 
         _, plain, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "1", "--format", "json")
-        monkeypatch.setattr(search, "_process_pool", InlinePool)
+        monkeypatch.setattr(search._Pool, "run", recording_run)
         code, out, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "3", "--format", "json")
         assert code == 0 and out == plain
-        assert pools == [2]  # one pool; each search's first shard runs in the calling process
-        assert submitted == [3, 3, 4, 4, 5, 5]
+        assert len(forks) == 2  # one pool of 2 for the whole command
+        # three shards per search: the calling process runs the first, and
+        # each worker one of the other two
+        assert runs == [(2, 3)] * 3
 
     def test_byte_identical_across_worker_counts(self, capsys):
         _, out1, _ = run(capsys, "tables", "--which", "II", "--n-max", "4", "--workers", "1", "--format", "json")
@@ -707,11 +682,12 @@ class TestStrictNumbers:
 
 class TestImportBudget:
     """No run loads the process-pool modules: search forks its workers
-    with os.fork and talks to them over pipes."""
+    with os.fork and talks to them over pipes.  pickle loads only when a
+    pool sends a task, so never at one worker."""
 
     PROBE = (
         "import sys; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules], file=sys.stderr)"
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'pickle') if m in sys.modules], file=sys.stderr)"
     )
 
     @pytest.mark.parametrize(
@@ -721,7 +697,7 @@ class TestImportBudget:
             ("import gf2to1.cli", []),
             ("from gf2to1.cli import main; main(['lemma', '--which', '2.4', '--n', '3'])", []),
             ("from gf2to1.cli import main; main(['tables', '--which', 'I', '--workers', '1'])", []),
-            ("from gf2to1.cli import main; main(['tables', '--which', 'II', '--n-max', '4', '--workers', '2'])", []),
+            ("from gf2to1.cli import main; main(['tables', '--which', 'II', '--n-max', '4', '--workers', '2'])", ["pickle"]),
         ],
         ids=["package", "cli", "lemma", "tables-1-worker", "tables-2-workers"],
     )

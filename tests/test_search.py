@@ -7,7 +7,6 @@ import random
 from collections import Counter
 from importlib import resources
 from operator import xor
-from types import SimpleNamespace
 
 import pytest
 
@@ -313,29 +312,21 @@ class TestDeterminism:
             assert sum(map(len, parts)) == len(scanned)  # disjoint
             assert set().union(*parts) == scanned
 
-    def test_pool_sized_to_the_shards(self, monkeypatch):
+    def test_pool_sized_to_the_shards(self, forks):
         sizes = []
 
-        class InlinePool:  # records the pool size and starts no process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def forked():  # the workers forked since the last call
+            sizes.append(len(forks))
+            forks.clear()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, args):
-                value = fn(args)
-                return SimpleNamespace(result=lambda: value)
-
-        monkeypatch.setattr(search, "_process_pool", InlinePool)
         a = search_sparse(F8, "binomial", workers=64)
+        forked()
         b = search_degree5(F8, workers=64)
+        forked()
         c = search_sparse(F8, "trinomial", workers=64)
+        forked()
         with search.worker_pool(64, "trinomial", 3):
-            pass
+            forked()
         # exponents 3..6, a3 in GF(8) and the trinomial k = 3, 4, 5 that hold
         # an orbit's least pair, the first shard in the calling process
         assert len(SHAPES["trinomial"](7)) == 3
@@ -365,6 +356,10 @@ def open_fds(_):
     return len(os.listdir("/proc/self/fd"))
 
 
+def pid_of(_):
+    return os.getpid()
+
+
 PID = os.getpid()
 
 
@@ -377,16 +372,23 @@ def parent_fails_shard(args):
 
 
 class TestForkPool:
-    def test_results_in_any_order(self):
-        with search._pool(2) as pool:
-            tasks = [pool.submit(abs, -i) for i in range(5)]  # more tasks than workers
-            assert [t.result() for t in reversed(tasks)] == [4, 3, 2, 1, 0]
+    def test_results_in_order(self, forks):
+        # more items than workers: the extras run in the calling process,
+        # always the first, and each worker takes one of the last items
+        with search._Pool(2) as pool:
+            assert pool.run(abs, [-i for i in range(5)]) == [0, 1, 2, 3, 4]
+            assert pool.run(pid_of, [None] * 5) == [PID, PID, PID, *forks]
+            assert pool.run(pid_of, [None] * 2) == [PID, forks[0]]
 
-    def test_task_exception_reraised(self):
-        with search._pool(1) as pool:
+    def test_task_exception_reraised(self, forks):
+        # a failed run kills and reaps the workers; later runs go in process
+        with search._Pool(1) as pool:
             with pytest.raises(ValueError, match="math domain error"):
-                pool.submit(math.sqrt, -1).result()
-            assert pool.submit(math.sqrt, 4).result() == 2.0  # the worker lives on
+                pool.run(math.sqrt, [4, -1])
+            with pytest.raises(ChildProcessError):
+                os.waitpid(forks[0], os.WNOHANG)
+            assert pool.run(math.sqrt, [4, 9]) == [2.0, 3.0]
+            assert pool.run(pid_of, [None] * 2) == [PID, PID]
 
     def test_unread_result_stays_with_its_search(self, monkeypatch):
         # the first search fails in the calling process and never reads its
@@ -401,21 +403,19 @@ class TestForkPool:
         assert report_to_json(rep, include_timing=False) == plain
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_failed_fork_leaves_nothing_open(self, monkeypatch):
+    def test_failed_fork_leaves_nothing_open(self, monkeypatch, forks):
         # the second fork fails: the first worker is reaped and every pipe closed
-        real_fork, forks = os.fork, []
+        recording_fork = os.fork
 
         def fork():
             if forks:
                 raise OSError("no more processes")
-            forks.append(real_fork())
-            return forks[-1]
+            return recording_fork()
 
         before = open_fds(None)
-        with monkeypatch.context() as m:
-            m.setattr(os, "fork", fork)
-            with pytest.raises(OSError, match="no more processes"):
-                search._pool(2)
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError, match="no more processes"):
+            search._Pool(2)
         assert open_fds(None) == before
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
@@ -423,8 +423,8 @@ class TestForkPool:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_workers_hold_only_their_own_pipes(self):
         # a worker forked later must not keep an earlier worker's pipes open
-        with search._pool(3) as pool:
-            counts = [t.result() for t in [pool.submit(open_fds, None) for _ in range(3)]]
+        with search._Pool(3) as pool:
+            counts = pool.run(open_fds, [None] * 4)[1:]
         assert len(set(counts)) == 1, counts
 
 

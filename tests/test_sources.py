@@ -73,16 +73,21 @@ UNREFERENCED_KEPT = {
 
 
 def test_library_defines_only_what_it_uses_or_exports():
-    # name-based: a def counts as used when its name occurs in src/gf2to1 as a
-    # name, an attribute or an import, so a submodule __all__ entry counts only
-    # when the package re-exports it or library code reads it; an oracle only
-    # tests use belongs in them
+    # name-based: a def, or a name a module-level assignment binds, counts as
+    # used when its name is read in src/gf2to1 as a name, an attribute or an
+    # import, so a submodule __all__ entry counts only when the package
+    # re-exports it or library code reads it; an oracle only tests use
+    # belongs in them
     package = ROOT / "src" / "gf2to1"
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     used, defined = set(), []  # defined: (module, qualified name)
     for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
