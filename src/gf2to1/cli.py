@@ -37,12 +37,12 @@ from .search import (
     SHAPES,
     TABLE_RUNS,
     WorkerDied,
+    _Pool,
     compare_with_table,
     diff_to_dict,
     report_to_csv,
     report_to_dict,
     search_sparse,
-    worker_pool,
 )
 from .two2one import (
     FAMILY_TAGS,
@@ -143,7 +143,7 @@ def _cmd_tables(args):
     if n_max > SEARCH_MAX_N and not args.long:
         raise ValueError(f"--n-max {n_max} runs the n={n_max} searches; pass --long")
     results = []
-    with worker_pool(args.workers, shape, min(max(all_n), n_max)) as pool:
+    with _Pool() as pool:
         for n in all_n:
             if n <= n_max:
                 report = search_sparse(make_field(n), shape, dedupe, args.long, args.workers, pool=pool)

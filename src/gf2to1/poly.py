@@ -199,9 +199,6 @@ class DensePoly:
         mul = self.ctx.mul
         return DensePoly(self.ctx, tuple(mul(c, v) for v in self.coeffs))
 
-    def monic(self) -> "DensePoly":
-        return self.scale(self.ctx.inv(self.lead))
-
     def divmod(self, d: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         if d.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -226,18 +223,6 @@ class DensePoly:
         if not r.is_zero:
             raise ArithmeticError("division was not exact")
         return q
-
-    def gcd(self, other: "DensePoly") -> "DensePoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a if a.is_zero else a.monic()
-
-    def to_sparse(self) -> SparsePoly:
-        return SparsePoly.make(self.ctx, ((i, c) for i, c in enumerate(self.coeffs) if c))
-
-    def __str__(self) -> str:
-        return str(self.to_sparse())
 
 
 def equal_up_to_scalar(p: DensePoly, q: DensePoly) -> bool:

@@ -11,13 +11,14 @@ the multiply table of each field element and the power list of each exponent.
 Candidates are verified by the early-exit kernels of two2one.  Shard i of W
 scans every W-th item from the i-th on; the cost of an item grows with k, so
 the strides carry about equal work.  Every search runs its shards through
-one pool class, _Pool, opened per search or shared by a run of searches
-(worker_pool): shard 0 runs in the calling process and the others in up to
-W - 1 worker processes.  The pool forks its workers with os.fork, writes each
-one a pickled task on a pipe of its own and reads the result from another; it
-imports neither multiprocessing nor concurrent.futures, and pickle only when
-it sends a task.  Where os.fork does not exist (Windows), the pool forks no
-worker and the calling process runs every shard.
+one pool class, _Pool, opened per search or shared by a run of searches:
+shard 0 runs in the calling process and the others in W - 1 worker processes.
+The pool forks with os.fork the workers a search needs and it lacks, so a
+shared pool grows to the largest search's shard count minus one.  It writes
+each worker a pickled task on a pipe of its own and reads the result from
+another; it imports neither multiprocessing nor concurrent.futures, and
+pickle only when it sends a task.  Where os.fork does not exist (Windows),
+the pool forks no worker and the calling process runs every shard.
 Partial hit lists are merged and globally sorted, so a report is
 byte-identical for any worker count.  Every shape is capped at
 n <= SEARCH_MAX_N, or SEARCH_LONG_MAX_N with the long-run flag.
@@ -463,9 +464,10 @@ class WorkerDied(RuntimeError):
 
 
 class _Pool:
-    """size forked worker processes, or none where os.fork does not exist
-    (Windows), as a context manager.  Each worker reads pickled (fn, args)
-    tasks from a pipe of its own and answers on another (_serve).
+    """Forked worker processes, as a context manager.  run forks the workers
+    a call needs and the pool lacks, or none where os.fork does not exist
+    (Windows).  Each worker reads pickled (fn, args) tasks from a pipe of its
+    own and answers on another (_serve).
 
     A worker leaves through os._exit, so it runs none of the parent's exit
     handlers and flushes none of its inherited stdio buffers.  Each worker
@@ -477,38 +479,8 @@ class _Pool:
     every worker, busy or not.  It reaps each one, so none outlives the
     pool."""
 
-    def __init__(self, size: int):
+    def __init__(self):
         self.workers: list[tuple] = []  # (pid, task pipe writer, result pipe reader)
-        if not hasattr(os, "fork"):
-            return
-        try:
-            for _ in range(size):
-                task_r, task_w = os.pipe()
-                result_r, result_w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    for fd in (task_r, task_w, result_r, result_w):
-                        os.close(fd)
-                    raise
-                if pid == 0:
-                    code = 1
-                    try:
-                        os.close(task_w)
-                        os.close(result_r)
-                        for _, tasks, results in self.workers:
-                            tasks.close()
-                            results.close()
-                        _serve(task_r, result_w)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(task_r)
-                os.close(result_w)
-                self.workers.append((pid, open(task_w, "wb"), open(result_r, "rb")))
-        except BaseException:
-            self.__exit__(*sys.exc_info())
-            raise
 
     def __enter__(self):
         return self
@@ -527,20 +499,49 @@ class _Pool:
         self.workers = []
         return False
 
-    def run(self, fn, args: list) -> list:
-        """fn over args, in order.  Each worker takes one of the last args
-        and the calling process runs the rest, always at least the first.
-        When the call raises, for a failed first item, a worker's exception,
-        a dead worker or an interrupt, it kills and reaps every worker
-        first, so no unread result outlives it, and later calls run in
-        process.  pickle loads only when a task is sent."""
-        workers = self.workers[: max(len(args) - 1, 0)]
-        if not workers:
-            return [fn(a) for a in args]
-        import pickle
-
-        own = len(args) - len(workers)
+    def _fork(self) -> None:
+        """Fork one more worker."""
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
         try:
+            pid = os.fork()
+        except OSError:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(task_w)
+                os.close(result_r)
+                for _, tasks, results in self.workers:
+                    tasks.close()
+                    results.close()
+                _serve(task_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        self.workers.append((pid, open(task_w, "wb"), open(result_r, "rb")))
+
+    def run(self, fn, args: list) -> list:
+        """fn over args, in order.  The pool first forks the workers it lacks,
+        up to one fewer than args.  Each worker takes one of the last args and
+        the calling process runs the rest, always at least the first.  When
+        the call raises, for a failed fork, a failed first item, a worker's
+        exception, a dead worker or an interrupt, it kills and reaps every
+        worker first, so no unread result outlives it; the next call forks
+        fresh ones.  pickle loads only when a task is sent."""
+        try:
+            while hasattr(os, "fork") and len(self.workers) < len(args) - 1:
+                self._fork()
+            workers = self.workers[: max(len(args) - 1, 0)]
+            if not workers:
+                return [fn(a) for a in args]
+            import pickle
+
+            own = len(args) - len(workers)
             for (pid, tasks, _), a in zip(workers, args[own:]):
                 try:
                     pickle.dump((fn, a), tasks)
@@ -582,22 +583,12 @@ def _serve(task_r: int, result_w: int) -> None:
             results.flush()
 
 
-def worker_pool(workers: int, shape: str, n: int) -> _Pool:
-    """The pool that search_sparse(pool=...) shares between the searches of
-    shape up to GF(2^n) at this worker count.  Its workers are forked once,
-    when it opens, and reaped when it closes.
-
-    The calling process runs one shard of each search, so the pool holds one
-    worker fewer than the largest of those searches has shards."""
-    return _Pool(min(workers, len(SHAPES[shape](2**n - 1))) - 1)
-
-
 def _run_shards(fn, shard_args, pool=None):
     """fn over shard_args, in order: the first in the calling process, the
-    rest in pool, or in a pool of their own when pool is None."""
+    rest in pool's workers, or in a pool of their own when pool is None."""
     if pool is not None:
         return pool.run(fn, shard_args)
-    with _Pool(len(shard_args) - 1) as own:
+    with _Pool() as own:
         return own.run(fn, shard_args)
 
 
@@ -720,11 +711,11 @@ def search_sparse(
     n = SEARCH_MAX_N, or SEARCH_LONG_MAX_N with long_run.
 
     The search splits into min(workers, shard items) shards.  The first runs
-    in the calling process and the others in pool, the forked workers that
-    worker_pool opens for a run of searches; with pool=None the search
-    opens a pool of its own.  A worker that dies raises WorkerDied, and an
-    exception a shard raises in a worker is raised here; either way the
-    pool's workers are reaped, and later searches on it run in process.
+    in the calling process and the others in the forked workers of pool, a
+    _Pool that a run of searches shares and that forks the workers each
+    search lacks; with pool=None the search opens a pool of its own.  A
+    worker that dies raises WorkerDied, and an exception a shard raises in a
+    worker is raised here; either way the pool's workers are reaped.
     """
     return _search(ctx, shape, dedupe, long_run, workers, pool)
 

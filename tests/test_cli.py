@@ -321,21 +321,38 @@ class TestTables:
         assert code == 0
         assert "MISMATCH" not in out
 
-    def test_one_pool_per_command(self, capsys, monkeypatch, forks):
+    @staticmethod
+    def record_runs(monkeypatch, forks):
+        """The (pool workers, shards, forks so far) after each search's run."""
         real_run, runs = search._Pool.run, []
 
-        def recording_run(pool, fn, args):  # the pool's workers and the shards of each search
-            runs.append((len(pool.workers), len(args)))
-            return real_run(pool, fn, args)
+        def recording_run(pool, fn, args):
+            out = real_run(pool, fn, args)
+            runs.append((len(pool.workers), len(args), len(forks)))
+            return out
 
-        _, plain, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "1", "--format", "json")
         monkeypatch.setattr(search._Pool, "run", recording_run)
+        return runs
+
+    def test_one_pool_per_command(self, capsys, monkeypatch, forks):
+        _, plain, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "1", "--format", "json")
+        runs = self.record_runs(monkeypatch, forks)
         code, out, _ = run(capsys, "tables", "--which", "II", "--n-max", "5", "--workers", "3", "--format", "json")
         assert code == 0 and out == plain
-        assert len(forks) == 2  # one pool of 2 for the whole command
+        # one pool of 2 for the whole command, forked by the first search;
         # three shards per search: the calling process runs the first, and
         # each worker one of the other two
-        assert runs == [(2, 3)] * 3
+        assert runs == [(2, 3, 2)] * 3
+
+    def test_pool_grows_across_searches(self, capsys, monkeypatch, forks):
+        # GF(8) has three quadrinomial shard items, so the n = 3 search forks
+        # 2 workers; n = 4 and 5 take 4 shards, and the pool forks a third
+        # worker for n = 4 and none for n = 5
+        _, plain, _ = run(capsys, "tables", "--which", "III", "--n-max", "5", "--workers", "1", "--format", "json")
+        runs = self.record_runs(monkeypatch, forks)
+        code, out, _ = run(capsys, "tables", "--which", "III", "--n-max", "5", "--workers", "4", "--format", "json")
+        assert code == 0 and out == plain
+        assert runs == [(2, 3, 2), (3, 4, 3), (3, 4, 3)]
 
     def test_byte_identical_across_worker_counts(self, capsys):
         _, out1, _ = run(capsys, "tables", "--which", "II", "--n-max", "4", "--workers", "1", "--format", "json")

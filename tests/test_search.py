@@ -325,12 +325,10 @@ class TestDeterminism:
         forked()
         c = search_sparse(F8, "trinomial", workers=64)
         forked()
-        with search.worker_pool(64, "trinomial", 3):
-            forked()
         # exponents 3..6, a3 in GF(8) and the trinomial k = 3, 4, 5 that hold
         # an orbit's least pair, the first shard in the calling process
         assert len(SHAPES["trinomial"](7)) == 3
-        assert sizes == [3, 7, 2, 2]
+        assert sizes == [3, 7, 2]
         assert report_to_json(c, include_timing=False) == report_to_json(
             search_sparse(F8, "trinomial"), include_timing=False
         )
@@ -372,29 +370,35 @@ def parent_fails_shard(args):
 
 
 class TestForkPool:
-    def test_results_in_order(self, forks):
-        # more items than workers: the extras run in the calling process,
-        # always the first, and each worker takes one of the last items
-        with search._Pool(2) as pool:
+    def test_results_in_order(self, forks, monkeypatch):
+        # the calling process runs the first item and each worker one of the
+        # last; once os.fork is gone the pool cannot grow, and the items it
+        # has no worker for run in the calling process
+        with search._Pool() as pool:
+            assert pool.run(abs, [0, -1, -2]) == [0, 1, 2]
+            assert pool.run(pid_of, [None] * 3) == [PID, *forks]
+            assert pool.run(pid_of, [None] * 2) == [PID, forks[0]]
+            monkeypatch.delattr(os, "fork")
             assert pool.run(abs, [-i for i in range(5)]) == [0, 1, 2, 3, 4]
             assert pool.run(pid_of, [None] * 5) == [PID, PID, PID, *forks]
-            assert pool.run(pid_of, [None] * 2) == [PID, forks[0]]
+        assert len(forks) == 2
 
     def test_task_exception_reraised(self, forks):
-        # a failed run kills and reaps the workers; later runs go in process
-        with search._Pool(1) as pool:
+        # a failed run kills and reaps the workers; the next run forks anew
+        with search._Pool() as pool:
             with pytest.raises(ValueError, match="math domain error"):
                 pool.run(math.sqrt, [4, -1])
             with pytest.raises(ChildProcessError):
                 os.waitpid(forks[0], os.WNOHANG)
             assert pool.run(math.sqrt, [4, 9]) == [2.0, 3.0]
-            assert pool.run(pid_of, [None] * 2) == [PID, PID]
+            assert len(forks) == 2
+            assert pool.run(pid_of, [None] * 2) == [PID, forks[1]]
 
     def test_unread_result_stays_with_its_search(self, monkeypatch):
         # the first search fails in the calling process and never reads its
         # worker's result; the next search on the pool must not take it
         plain = report_to_json(search_sparse(F16, "binomial"), include_timing=False)
-        with search.worker_pool(2, "binomial", 4) as pool:
+        with search._Pool() as pool:
             with monkeypatch.context() as m:
                 m.setattr(search, "_shard", parent_fails_shard)
                 with pytest.raises(ZeroDivisionError):
@@ -404,7 +408,8 @@ class TestForkPool:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_failed_fork_leaves_nothing_open(self, monkeypatch, forks):
-        # the second fork fails: the first worker is reaped and every pipe closed
+        # the second fork fails: the run raises, the first worker is reaped
+        # and every pipe closed
         recording_fork = os.fork
 
         def fork():
@@ -414,16 +419,19 @@ class TestForkPool:
 
         before = open_fds(None)
         monkeypatch.setattr(os, "fork", fork)
-        with pytest.raises(OSError, match="no more processes"):
-            search._Pool(2)
-        assert open_fds(None) == before
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forks[0], os.WNOHANG)
+        with search._Pool() as pool:
+            with pytest.raises(OSError, match="no more processes"):
+                pool.run(abs, [0, 1, 2])
+            assert open_fds(None) == before
+            with pytest.raises(ChildProcessError):
+                os.waitpid(forks[0], os.WNOHANG)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_workers_hold_only_their_own_pipes(self):
-        # a worker forked later must not keep an earlier worker's pipes open
-        with search._Pool(3) as pool:
+        # a worker forked later, in the same run or a later one, must not
+        # keep an earlier worker's pipes open
+        with search._Pool() as pool:
+            pool.run(abs, [0, 1])
             counts = pool.run(open_fds, [None] * 4)[1:]
         assert len(set(counts)) == 1, counts
 
@@ -859,20 +867,60 @@ class TestUnitWalk:
 RELABEL_OFF_REJECTED = {4: 1_294, 5: 11_807, 6: 148_939}
 
 
-# (shape, SHA-256 of report_to_json(include_timing=False), classes, candidates)
-N7_PINS = [
-    ("quadrinomial", "79c53b7708d96aafe5d39397941df3b0310834957f1e905168f9e7224e975411", 120, 317_750),
-    ("binomial", "1db7584da64ca7edb1143facac1dfb5643fa5862c20b932a155c7fdf7c727cd7", 9, 7_497),
+# (n, shape, dedupe, SHA-256 of report_to_json(include_timing=False),
+# candidates_scanned, sieve_rejected): every search report's golden pin.
+# The JSON holds neither count.  n = 7 runs with the long-run flag, qm only.
+REPORT_PINS = [
+    (3, "degree5", "qm", "ed13b82db5f5950cb8b885f54bd43b74c41451b7b094d3d07d45af13dc15f80f", 512, 459),
+    (3, "degree5", "none", "504ae1182c38e2aa7022601126c7108f38d8fe139fae1c33c67e23b376e85a48", 512, 459),
+    (3, "binomial", "qm", "09bfad401d2b9ae7e984d3ba7c6c1fcfef638beaa7e7781409b0c029f0c7b00c", 9, 0),
+    (3, "binomial", "none", "057f4f98b21b6aad0082ca22d12e0d67b4542756be0045e019edc1de539d51b5", 63, 0),
+    (3, "trinomial", "qm", "70a834d0ae1c80314db2cbcb07250c56aaf34aacb7f4f62e9c8de0200876f8f4", 63, 57),
+    (3, "trinomial", "none", "eb5b759fb16fca760b6052ed5f52c3273217aed0c04ba4d8b454caeea01c63f2", 441, 432),
+    (3, "quadrinomial", "qm", "65ab99bff9b2edbb641eef9201ad2514dd065231b6f6c6c337fcb5443613d7f8", 10, 0),
+    (3, "quadrinomial", "none", "c6145dd8edda67dd7f8613b8c4a8be057a66ac7153c7bf4f523a5cd6c506a2d2", 10, 0),
+    (4, "degree5", "qm", "404ad815ef71efc385f39e628743494ef1c046b7dbe433b0198a56f4927c39f7", 4_096, 3_852),
+    (4, "degree5", "none", "6db3ad69c7e47f90784403f56912a2398754ae7efd08b9304c82b940ea5eec10", 4_096, 3_852),
+    (4, "binomial", "qm", "42134b9814d9d60d283d6698fe33100699511c23502ce7c34d7044d427d8c15f", 175, 0),
+    (4, "binomial", "none", "30aec0ecdc0f071bd0a67e4e6d0b95421fcc65e94768e71481ff36b5c11a3887", 1_185, 0),
+    (4, "trinomial", "qm", "ed0aa2cde6961bdd4ef02b4ef9503a11d473cd13eb56fcf4b6db8ab3699b27a4", 1_365, 1_286),
+    (4, "trinomial", "none", "88f2c9b20aab51cdb70d646b494ad3755016186d88e24b5642a3ea2ea0431838", 16_875, 15_820),
+    (4, "quadrinomial", "qm", "55033cc412c2267f3de6c2a68a10c3e2ecfea517bf523bb0b181b537438e29bb", 286, 0),
+    (4, "quadrinomial", "none", "25371af2ee68c76e48fd45adbac14d64db696f5532f38ebbced5a27549becb6c", 286, 0),
+    (5, "degree5", "qm", "3f33f53a1d907fb8769f437c0963e0a82a08d7bf059c2049cdb133452d36c7e4", 32_768, 31_175),
+    (5, "degree5", "none", "1ce76da941ca612c3818460df18524a287c23949b73928eef90985ce7fc7c8f4", 32_768, 31_175),
+    (5, "binomial", "qm", "fcd8ddea2962868dd5d91a674c2f33d83ef358c678aff065511bf22fd9dc5cbe", 375, 0),
+    (5, "binomial", "none", "f45bc3ef6dc6c520be7c7741de9249c29e58293281f0cbd21ae868957ed5ecb9", 11_625, 0),
+    (5, "trinomial", "qm", "d00da2b50db7d6b759707e9de87b4ba7fe02e6f4bc96f33bd3854d624ce27686", 12_400, 11_764),
+    (5, "trinomial", "none", "56bae2064f0ba7f8d96a8889c03491d0509c6b1c9495a61c160e8c1d84c3bb8a", 384_400, 366_850),
+    (5, "quadrinomial", "qm", "868446570a5c487dcbc0e00b2d31abf9727ca8529d291f6434d3f7fa96479f18", 3_654, 0),
+    (5, "quadrinomial", "none", "63f17ee10e238974b2c60b50fcf64633b7af74359f3cb9fafdbb535cd1cca073", 3_654, 0),
+    (6, "degree5", "qm", "402159525142efc4a3911f683eecec090a230d7de79ec65d5fcdf9caf8571651", 262_144, 251_086),
+    (6, "degree5", "none", "7284c43a1fb483f67503a5726e5df5d51716b8c980d2fa9d67c171f359f4480c", 262_144, 251_086),
+    (6, "binomial", "qm", "e99711141015d6b6c9b1e0a0e6e2c2b2e0174016e75e1f566a6ef79f7efd801c", 6_135, 0),
+    (6, "binomial", "none", "25ce35515123b0998d212d1b43910613e759a8f687f92ba8f62f9c1d5051dfc6", 113_463, 0),
+    (6, "trinomial", "qm", "ffe31421658480e425378462f9e3b2af1d79b1761a4ad5f74fd6c5accb249581", 155_484, 148_779),
+    (6, "trinomial", "none", "5b769c30e19c64de73c5a2fa9bad74d263cdbd11de96c2ee100c9ab2668cb658", 7_223_580, 6_825_381),
+    (6, "quadrinomial", "qm", "0b042afb95ba8f49ffc1aa971966f9cd0baf1d0744c1e2959e5715de715d67e4", 35_990, 0),
+    (6, "quadrinomial", "none", "2183b1f50610ba404f71d8bf813c51b6649586b5f2b786bbab273b9128725bff", 35_990, 0),
+    (7, "degree5", "qm", "c479a9c5dd2747ca73d44e92e5ccbfe66de9bee022e51e5506f1d500a43c8491", 2_097_152, 2_014_278),
+    (7, "binomial", "qm", "1db7584da64ca7edb1143facac1dfb5643fa5862c20b932a155c7fdf7c727cd7", 7_497, 0),
+    (7, "trinomial", "qm", "e5ff3076b59a91d3facb7cf85573b909e62c0040150d06a2903f31ec78aaa34a", 982_345, 934_708),
+    (7, "quadrinomial", "qm", "79c53b7708d96aafe5d39397941df3b0310834957f1e905168f9e7224e975411", 317_750, 0),
 ]
 
 
-@pytest.mark.long
-@pytest.mark.parametrize("shape,digest,classes,scanned", N7_PINS, ids=[p[0] for p in N7_PINS])
-def test_n7_long_run_pinned(shape, digest, classes, scanned):
-    rep = search_sparse(make_field(7), shape, long_run=True, workers=2)
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "n,shape,dedupe,digest,scanned,rejected",
+    [p if p[0] <= 5 else pytest.param(*p, marks=pytest.mark.long) for p in REPORT_PINS],
+    ids=[f"{n}-{shape}-{dedupe}" for n, shape, dedupe, *_ in REPORT_PINS],
+)
+def test_report_pinned(n, shape, dedupe, digest, scanned, rejected, workers):
+    rep = search_sparse(make_field(n), shape, dedupe, long_run=n > 6, workers=workers)
     doc = report_to_json(rep, include_timing=False)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
-    assert (len(rep.hits), rep.candidates_scanned) == (classes, scanned)
+    assert (rep.candidates_scanned, rep.sieve_rejected) == (scanned, rejected)
 
 
 class TestTableComparison:
