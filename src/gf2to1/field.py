@@ -170,7 +170,7 @@ class FieldCtx:
     """
 
     __slots__ = (
-        "n", "modulus", "order", "generator", "_group_primes", "_exp", "_log", "_orbits", "_tmask", "_as_split"
+        "n", "modulus", "order", "generator", "_exp", "_log", "_orbits", "_tmask", "_as_split"
     )
 
     def __init__(self, n: int, modulus: int):
@@ -184,7 +184,6 @@ class FieldCtx:
         self.n = n
         self.modulus = modulus
         self.order = 1 << n
-        self._group_primes = tuple(_prime_factors(self.order - 1))
         self.generator = self._find_generator()
         # Built on first use by _tables(), not by a __getattr__ hook: on CPython
         # 3.11 a class with __getattr__ makes every attribute read several times slower.
@@ -194,9 +193,9 @@ class FieldCtx:
     def _find_generator(self) -> int:
         # runs before any table exists: g generates iff g^(N/p) != 1 for each prime p | N
         N = self.order - 1
-        m, top = self.modulus, self.order
+        m, top, primes = self.modulus, self.order, _prime_factors(N)
         for g in range(2, self.order):
-            if all(_pow_bits(g, N // p, m, top) != 1 for p in self._group_primes):
+            if all(_pow_bits(g, N // p, m, top) != 1 for p in primes):
                 return g
         raise AssertionError("no generator found (broken modulus?)")
 
@@ -374,20 +373,6 @@ class FieldCtx:
     def sqrt(self, x: int) -> int:
         """The unique square root x^(2^(n-1))."""
         return self.frobenius(x, self.n - 1)
-
-    # -- group structure ----------------------------------------------------
-
-    def mult_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        t = self.order - 1
-        for p in self._group_primes:
-            while t % p == 0 and self.pow(a, t // p) == 1:
-                t //= p
-        return t
-
-    def is_primitive(self, a: int) -> bool:
-        return a != 0 and self.mult_order(a) == self.order - 1
 
     # -- enumeration and hot-loop support ------------------------------------
 

@@ -69,10 +69,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def degree(self) -> int:
-        return self.terms[0][0] if self.terms else -1
-
     def exponents(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.terms)
 
@@ -397,10 +393,6 @@ class BivarPoly:
         while cs and cs[-1].is_zero:
             cs.pop()
         return BivarPoly(ctx, tuple(cs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.ycoeffs
 
     @property
     def deg_y(self) -> int:

@@ -81,7 +81,7 @@ from operator import itemgetter, xor
 
 from .field import FieldCtx, field_from_label, fmt_elem, parse_elem
 from .poly import SparsePoly, parse_poly
-from .tabledata import table1_triples, table2, table3
+from .tabledata import table1, table2, table3
 from .two2one import (
     admissible_family_tags,
     fibers_two_to_one,
@@ -736,42 +736,6 @@ class TableDiff:
         return not self.missing and not self.extra
 
 
-def _hit_triples(report: SearchReport) -> set[tuple[int, int, int]]:
-    out = set()
-    for h in report.hits:
-        d = dict(h.poly.terms)
-        if d.get(5) != 1:
-            raise ValueError(f"hit {h.poly} is not a normalized quintic")
-        out.add((d.get(3, 0), d.get(2, 0), d.get(1, 0)))
-    return out
-
-
-def _diff_strings(ctx, missing_triples, extra_triples) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    def s(t):
-        a3, a2, a1 = t
-        return str(SparsePoly.make(ctx, [(5, 1), (3, a3), (2, a2), (1, a1)]))
-
-    return tuple(sorted(map(s, missing_triples))), tuple(sorted(map(s, extra_triples)))
-
-
-def _compare_table1(report: SearchReport) -> TableDiff:
-    ctx = report.ctx
-    if ctx.n != 3:
-        raise ValueError("table I is GF(2^3) data; run the degree5 search at n=3")
-    got = _hit_triples(report)
-    candidates = [2] if ctx.modulus == 0b1011 else []  # the class of x first
-    for g in ctx.nonzero():
-        if g not in candidates and ctx.is_primitive(g):
-            candidates.append(g)
-    for gamma in candidates:
-        expected = table1_triples(ctx, gamma)
-        if expected == got:
-            return TableDiff("I", f"gamma={fmt_elem(gamma)}", (), ())
-    expected = table1_triples(ctx, candidates[0])
-    missing, extra = _diff_strings(ctx, expected - got, got - expected)
-    return TableDiff("I", None, missing, extra)
-
-
 def expected_table2_classes(ctx: FieldCtx) -> set[tuple]:
     """Expected trinomial classes at ctx.n: each table row expands over every
     root of its alpha equation, since conjugate parameters form distinct
@@ -794,41 +758,52 @@ def expected_table2_classes(ctx: FieldCtx) -> set[tuple]:
     return expected
 
 
-def _compare_table2(report: SearchReport) -> TableDiff:
-    ctx = report.ctx
-    data = table2()
-    covered = {row["n"] for row in data["rows"]} | set(data["empty_n"])
-    if ctx.n not in covered:
-        raise ValueError(f"table II covers n in {sorted(covered)}, got n={ctx.n}")
-    expected = expected_table2_classes(ctx)
-    got = {h.poly.terms for h in report.hits}
-    missing = tuple(sorted(str(SparsePoly(ctx, t)) for t in expected - got))
-    extra = tuple(sorted(str(SparsePoly(ctx, t)) for t in got - expected))
-    return TableDiff("II", None, missing, extra)
+def _table_readings(ctx: FieldCtx, which: str):
+    """Yield the table's readings at ctx: (alignment, {text in a diff: term tuple}).
 
-
-def _compare_table3(report: SearchReport) -> TableDiff:
-    ctx = report.ctx
-    got = {h.poly.terms for h in report.hits}
-    missing = []
-    for tag in table3()["families"]:
-        if tag not in admissible_family_tags(ctx.n):
-            continue
-        canon = qm_canonical(make_family(tag, ctx))
-        if canon.terms not in got:
-            missing.append(f"{tag}: {make_family(tag, ctx)}")
-    return TableDiff("III", None, tuple(sorted(missing)), ())
+    Keyed by text, since at n = 3 several Table III families share a canonical.
+    """
+    if which == "I":
+        if ctx.n != 3:
+            raise ValueError("table I is GF(2^3) data; run the degree5 search at n=3")
+        data = table1()
+        free = []  # the (a3, a2, a1) rows of the families, whose free coefficient c runs over c != 0
+        for fam in data["families"]:
+            if fam not in ("a3_only", "a2_only"):
+                raise ValueError(f"unknown family marker {fam!r} in table 1 data")
+            free += [(c, 0, 0) if fam == "a3_only" else (0, c, 0) for c in ctx.nonzero()]
+        N = ctx.order - 1
+        for gamma in sorted(ctx.pow(ctx.generator, j) for j in range(1, N) if math.gcd(j, N) == 1):
+            rows = free + [tuple(ctx.pow(gamma, e) for e in es) for es in data["sporadic"]]
+            polys = [SparsePoly.make(ctx, zip((5, 3, 2, 1), (1, *row))) for row in rows]
+            yield f"gamma={fmt_elem(gamma)}", {str(f): f.terms for f in polys}
+    elif which == "II":
+        data = table2()
+        covered = {row["n"] for row in data["rows"]} | set(data["empty_n"])
+        if ctx.n not in covered:
+            raise ValueError(f"table II covers n in {sorted(covered)}, got n={ctx.n}")
+        yield None, {str(SparsePoly(ctx, t)): t for t in expected_table2_classes(ctx)}
+    else:
+        admissible = admissible_family_tags(ctx.n)
+        expected = {}
+        for tag in table3()["families"]:
+            if tag in admissible:
+                f = make_family(tag, ctx)
+                expected[f"{tag}: {f}"] = qm_canonical(f).terms
+        yield None, expected
 
 
 def compare_with_table(report: SearchReport, which: str) -> TableDiff:
     """Empty diff exactly when the report reproduces the reference table.
 
-    Table I: triple-set equality, first literally (modulus 0xb, gamma = the
-    class of x), then across every primitive-element relabeling, recording
-    the alignment that matched.  Table II: equivalence-class equality, each
-    row expanded over all roots of its parameter equation.  Table III:
-    membership of every family admissible at the report's n.  The report
-    must be the table's search in TABLE_RUNS, so qm hits are canonicals.
+    Each table is read as term tuples, and the first reading equal to the
+    hit set aligns it.  Table I has one reading per primitive element gamma,
+    ascending, and records the gamma that matched; Table II expands each row
+    over all roots of its parameter equation; Table III holds the canonical
+    of every family admissible at the report's n.  Without a match the diff
+    is taken against the first reading.  Table III lists no extras, so a hit
+    set that contains its reading gives an empty diff.  The report must be
+    the table's search in TABLE_RUNS, so qm hits are canonicals.
     """
     if which not in TABLE_RUNS:
         raise ValueError(f"unknown table {which!r}; expected I, II or III")
@@ -838,11 +813,16 @@ def compare_with_table(report: SearchReport, which: str) -> TableDiff:
             f"table {which} compares {shape} reports with dedupe={dedupe!r}, "
             f"got {report.shape!r} with dedupe={report.dedupe!r}"
         )
-    if which == "I":
-        return _compare_table1(report)
-    if which == "II":
-        return _compare_table2(report)
-    return _compare_table3(report)
+    got = {h.poly.terms for h in report.hits}
+    first = None
+    for aligned, expected in _table_readings(report.ctx, which):
+        if set(expected.values()) == got:
+            return TableDiff(which, aligned, (), ())
+        if first is None:
+            first = expected
+    missing = sorted(text for text, t in first.items() if t not in got)
+    extra = sorted(str(SparsePoly(report.ctx, t)) for t in got - set(first.values()))
+    return TableDiff(which, None, tuple(missing), () if which == "III" else tuple(extra))
 
 
 # ---------------------------------------------------------------------------

@@ -339,14 +339,31 @@ def qm_shape_orbit(f: SparsePoly, shape_ok=None) -> set[tuple]:
 
 
 def alpha_roots(ctx: FieldCtx, m: int) -> list[int]:
-    """All roots of z^(2^m) + z + 1 in the field: the tri_I parameter at
-    n = 2m, and at m = 1 the elements of order 3 that tri_II takes.
+    """All roots of z^(2^m) + z + 1 in the field, ascending: the tri_I
+    parameter at n = 2m, and at m = 1 the elements of order 3 that tri_II takes.
 
-    z -> z^(2^m) + z is GF(2)-linear, so its value table is the xor-closure of
-    the n basis images, and the roots are the z where it takes the value 1.
+    L(z) = z^(2^m) + z is GF(2)-linear.  Elimination on the images of the n
+    basis elements, each carried with its preimage, gives one solution z0 of
+    L(z) = 1 and a basis of the kernel of L, which is at most 2^m elements;
+    the roots are z0 plus the kernel.  Nothing of size 2^n is built.
     """
-    T = linear_table([ctx.frobenius(1 << b, m) ^ (1 << b) for b in range(ctx.n)])
-    return [z for z, v in enumerate(T) if v == 1]
+    pivots = {}  # leading bit -> (image, preimage); one image per leading bit
+
+    def reduce(v, z):
+        while v and v.bit_length() in pivots:
+            pv, pz = pivots[v.bit_length()]
+            v, z = v ^ pv, z ^ pz
+        return v, z
+
+    kernel = []
+    for b in range(ctx.n):
+        v, z = reduce(ctx.frobenius(1 << b, m) ^ (1 << b), 1 << b)
+        if v:
+            pivots[v.bit_length()] = v, z
+        else:
+            kernel.append(z)
+    rest, z0 = reduce(1, 0)
+    return [] if rest else sorted(z0 ^ k for k in linear_table(kernel))
 
 
 def _root_param(roots: list[int], what: str, param: int | None) -> int:
@@ -399,14 +416,6 @@ def _n3(n: int) -> str | None:
     return None if n == 3 else f"fixed GF(2^3) data, got n={n}"
 
 
-def _bin(k_of):
-    def build(ctx: FieldCtx, param=None):
-        _no_param(param)
-        return [(k_of(ctx.n), 1), (1, 1)]
-
-    return build
-
-
 def _glynn_pi(n: int) -> int:
     return pow(4, -1, n)
 
@@ -426,6 +435,8 @@ def _tri_2(ctx: FieldCtx, param=None):
 
 
 def _quad(exps_of):
+    """The builder of a family whose coefficients are all 1: x^e for e in exps_of(n)."""
+
     def build(ctx: FieldCtx, param=None):
         _no_param(param)
         return [(e, 1) for e in exps_of(ctx.n)]
@@ -490,13 +501,13 @@ def _quad12(n):
 
 
 _FAMILIES: dict[str, tuple] = {
-    "bin_singer": (_odd, _bin(lambda n: 2)),
-    "bin_segre": (_odd, _bin(lambda n: 6)),
-    "bin_glynn1": (_odd, _bin(lambda n: (1 << ((n + 1) // 2)) + (1 << _glynn_pi(n)))),
-    "bin_glynn2": (_odd, _bin(lambda n: 3 * (1 << ((n + 1) // 2)) + 4)),
+    "bin_singer": (_odd, _quad(lambda n: (2, 1))),
+    "bin_segre": (_odd, _quad(lambda n: (6, 1))),
+    "bin_glynn1": (_odd, _quad(lambda n: ((1 << ((n + 1) // 2)) + (1 << _glynn_pi(n)), 1))),
+    "bin_glynn2": (_odd, _quad(lambda n: (3 * (1 << ((n + 1) // 2)) + 4, 1))),
     "bin_even_inv": (
         lambda n: None if n % 2 == 0 else f"requires even n, got n={n}",
-        _bin(lambda n: (1 << n) - 2),
+        _quad(lambda n: ((1 << n) - 2, 1)),
     ),
     "tri_I": (_even_ge4, _tri_1),
     "tri_II": (_n2m_modd, _tri_2),

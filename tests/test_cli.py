@@ -153,6 +153,12 @@ class TestFamily:
         code, _, err = run(capsys, "family", "tri_I", "--n", "5")
         assert err == "error: family tri_I is not admissible: requires even n >= 4, got n=5\n"
 
+    def test_above_the_scan_cap_is_usage_error(self, capsys, deadline):
+        # the tri_I parameter is found without a 2^32-entry table
+        deadline(10)
+        code, out, err = run(capsys, "family", "tri_I", "--n", "32")
+        assert (code, out, err) == (2, "", "error: full-domain scan capped at n=24, got n=32\n")
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "family", "quad_99", "--n", "3")
         assert code == 2

@@ -57,6 +57,14 @@ def pow_ref(f, a, e):
     return r
 
 
+def mult_order_ref(f, a):
+    """The least t >= 1 with a^t = 1, by repeated mul_ref; a != 0."""
+    t, x = 1, a
+    while x != 1:
+        t, x = t + 1, mul_ref(f, x, a)
+    return t
+
+
 def squarings(f, x, count):
     """[x, x^2, x^4, ...], count + 1 entries, by repeated mul_ref."""
     out = [x]
@@ -403,7 +411,7 @@ class TestIsomorphismAcrossModuli:
         multisets = []
         for m in moduli:
             f = FieldCtx(n, m)
-            multisets.append(Counter(f.mult_order(a) for a in f.nonzero()))
+            multisets.append(Counter(mult_order_ref(f, a) for a in f.nonzero()))
         assert all(ms == multisets[0] for ms in multisets)
 
 

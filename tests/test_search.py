@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,6 +19,7 @@ from gf2to1.search import (
     SHAPES,
     Hit,
     SearchReport,
+    TableDiff,
     compare_with_table,
     report_from_json,
     report_to_csv,
@@ -25,7 +27,14 @@ from gf2to1.search import (
     search_degree5,
     search_sparse,
 )
-from gf2to1.two2one import fibers_two_to_one, is_two_to_one, qm_canonical, qm_shape_orbit, qm_transforms
+from gf2to1.two2one import (
+    fibers_two_to_one,
+    is_two_to_one,
+    make_family,
+    qm_canonical,
+    qm_shape_orbit,
+    qm_transforms,
+)
 
 F8 = make_field(3)
 F16 = make_field(4)
@@ -947,6 +956,38 @@ class TestTableComparison:
         d = compare_with_table(broken, "I")
         assert not d.ok and len(d.missing) == 1 and not d.extra
         assert str(rep.hits[0].poly) in d.missing[0]
+
+    def test_table1_hit_outside_the_template_is_extra(self):
+        rep = search_degree5(F8)
+        odd = Hit(SparsePoly.make(F8, [(6, 1), (1, 1)]), 1)
+        d = compare_with_table(dataclasses.replace(rep, hits=rep.hits + (odd,)), "I")
+        assert d == TableDiff("I", None, (), ("x^6+x",))
+
+    def test_table2_fault_shows_in_diff(self):
+        rep = search_sparse(F16, "trinomial", dedupe="qm")
+        d = compare_with_table(dataclasses.replace(rep, hits=rep.hits[1:]), "II")
+        assert (d.missing, d.extra) == ((str(rep.hits[0].poly),), ())
+        foreign = Hit(SparsePoly.make(F16, [(7, 1), (3, 1), (1, 1)]), 1)
+        d = compare_with_table(dataclasses.replace(rep, hits=rep.hits + (foreign,)), "II")
+        assert (d.missing, d.extra) == ((), ("x^7+x^3+x",))
+
+    def test_table3_fault_shows_in_diff(self):
+        ctx = make_field(5)
+        rep = search_sparse(ctx, "quadrinomial", dedupe="qm")
+        canon = qm_canonical(make_family("quad_01", ctx)).terms
+        dropped = tuple(h for h in rep.hits if h.poly.terms != canon)
+        d = compare_with_table(dataclasses.replace(rep, hits=dropped), "III")
+        assert (d.missing, d.extra) == (("quad_01: x^10+x^8+x^2+x",), ())
+        foreign = Hit(SparsePoly.make(ctx, [(30, 1), (29, 1), (28, 1), (1, 1)]), 1)
+        assert compare_with_table(dataclasses.replace(rep, hits=rep.hits + (foreign,)), "III").ok
+
+    def test_table3_missing_names_every_family_of_a_class(self):
+        # at n = 3 five families share one canonical, and each is named
+        rep = search_sparse(F8, "quadrinomial", dedupe="qm")
+        canon = qm_canonical(make_family("quad_01", F8)).terms
+        dropped = tuple(h for h in rep.hits if h.poly.terms != canon)
+        d = compare_with_table(dataclasses.replace(rep, hits=dropped), "III")
+        assert [m.partition(":")[0] for m in d.missing] == ["quad_01", "quad_04", "quad_05", "quad_10", "quad_11"]
 
     def test_shape_mismatch_rejected(self):
         rep = search_degree5(F8)

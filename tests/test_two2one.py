@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gf2to1 import two2one
-from gf2to1.field import LOG_TABLE_MAX_N, make_field
+from gf2to1.field import LOG_TABLE_MAX_N, linear_table, make_field
 from gf2to1.poly import (
     GF2Poly,
     SparsePoly,
@@ -613,6 +613,21 @@ class TestFamilies:
             scan = [z for z in ctx.elements() if ctx.frobenius(z, m) ^ z ^ 1 == 0]
             assert alpha_roots(ctx, m) == scan
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_alpha_roots_match_the_value_table(self, n):
+        # the value table of z -> z^(2^m) + z over the whole field, read at 1
+        ctx = make_field(n)
+        for m in sorted({1, n // 2}):
+            T = linear_table([ctx.frobenius(1 << b, m) ^ (1 << b) for b in range(n)])
+            assert alpha_roots(ctx, m) == [z for z, v in enumerate(T) if v == 1]
+
+    def test_tri_I_parameter_at_n32(self, deadline):
+        deadline(10)
+        ctx = make_field(32)
+        (_, alpha), = [t for t in make_family("tri_I", ctx).terms if t[0] == 1]
+        assert ctx.frobenius(alpha, 16) ^ alpha ^ 1 == 0
+        assert len(alpha_roots(ctx, 16)) == 1 << 16
+
     def test_all_parameter_roots_give_two_to_one(self):
         for a in alpha_roots(F16, 2):
             assert is_two_to_one(make_family("tri_I", F16, param=a))
@@ -622,7 +637,7 @@ class TestFamilies:
         for a in roots:
             assert is_two_to_one(make_family("tri_I", ctx, param=a))
         omegas = alpha_roots(ctx, 1)
-        assert [ctx.mult_order(w) for w in omegas] == [3, 3]
+        assert [next(t for t in range(1, ctx.order) if ctx.pow(w, t) == 1) for w in omegas] == [3, 3]
         for w in omegas:
             assert is_two_to_one(make_family("tri_II", ctx, param=w))
 
